@@ -100,26 +100,25 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        bundle = data.parse_bundle(args.bundle)
         dual_bundle = None
         if args.dual_bundle:
             dual_bundle = data.parse_bundle(args.dual_bundle)
-    except (OSError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-
-    if args.command == "verify":
-        return _verify(args, bundle, dual_bundle)
-
-    try:
-        report = data.validate_bundle(bundle, dual_bundle)
-        if not report.passed:
-            raise BundleValidationError(report)
+        if args.command == "verify":
+            bundle = data.parse_bundle(args.bundle)
+            report = data.validate_bundle(bundle, dual_bundle)
+        else:
+            bundle = data.load_bundle(args.bundle, dual_bundle)
         pair = data.dual_pair(bundle, dual_bundle)
     except BundleValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(exc.report.to_text(), file=sys.stderr)
         return EXIT_DATA
+    except (OSError, SchemaError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+
+    if args.command == "verify":
+        return _verify(args, bundle, pair, report)
 
     try:
         return _dispatch(args, bundle, pair)
@@ -131,14 +130,12 @@ def run(argv=None) -> int:
         return EXIT_DATA
 
 
-def _verify(args, bundle, dual_bundle) -> int:
+def _verify(args, bundle, pair: DualPair, report) -> int:
     """Full invariant suite plus the wavefront checks on parameter sets."""
-    report = data.validate_bundle(bundle, dual_bundle)
     ok = report.passed
     jiang_lines = []
     jiang_payload = []
     if ok:
-        pair = data.dual_pair(bundle, dual_bundle)
         for ps in bundle.parameter_sets:
             jr = check_jiang(pair, ps)
             ok = ok and jr.passed
@@ -239,16 +236,16 @@ def _dispatch(args, bundle, pair: DualPair) -> int:
         for label in g.labels:
             classes = ",".join(g.bar_classes(label))
             dim = g.dim(label)
-            special = "special" if g.special_flags.get(label) else "non-special"
+            special = g.is_special(label)
             lines.append(
                 f"{label}  dim={dim if dim is not None else '?'}  "
-                f"{special}  classes={classes}"
+                f"{'special' if special else 'non-special'}  classes={classes}"
             )
             payload["orbits"].append(
                 {
                     "label": label,
                     "dim": dim,
-                    "special": bool(g.special_flags.get(label)),
+                    "special": special,
                     "classes": list(g.bar_classes(label)),
                 }
             )

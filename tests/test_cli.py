@@ -182,6 +182,19 @@ def test_dual_bundle_flag(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("command", [["dual", "0"], ["verify"]])
+def test_missing_dual_bundle_exits_2(capsys, tmp_path, command):
+    doc = json.loads(data.builtin_bundle_text("f4"))
+    doc["dual_group"] = "F4-partner"
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--bundle", str(path), *command)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "dual bundle is required" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_rejected(bundle_path):
     with pytest.raises(SystemExit) as exc:
         cli.run(["--bundle", bundle_path, "--bogus", "dual", "0"])

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from orbitduality import data
+from orbitduality.duality import DualPair
 from orbitduality.errors import BundleValidationError, SchemaError
+from orbitduality.orbits import BundlePoset
 from orbitduality.rootdata import Coweight
 
 
@@ -43,6 +45,43 @@ def test_shipped_bundle_validates(f4_bundle):
     text = report.to_text()
     assert "PASS" in text
     assert json.dumps(report.to_dict())
+
+
+def test_validation_computes_refined_duality_once(monkeypatch):
+    calls = []
+    real = data.achar_dual
+
+    def counted(pair, bc):
+        calls.append(bc)
+        return real(pair, bc)
+
+    monkeypatch.setattr(data, "achar_dual", counted)
+    report = data.validate_bundle(data.parse_bundle(data.builtin_bundle_text("f4")))
+    assert report.passed
+    # D on each of the 21 bar classes, and on the dual side at most as often
+    assert 0 < len(calls) <= 42
+
+
+def test_identities_check_reports_non_unique_cover():
+    # (0,1) is non-special with two incomparable minimal special covers
+    poset = BundlePoset(
+        group_id="toy",
+        labels=("0", "a", "b", "r"),
+        covers=(("0", "a"), ("0", "b"), ("a", "r"), ("b", "r")),
+        bar_a={"r": ("1", "c")},
+        ds={
+            ("0", "1"): "r",
+            ("a", "1"): "r",
+            ("b", "1"): "r",
+            ("r", "1"): "a",
+            ("r", "c"): "b",
+        },
+    )
+    poset.attach_dual(poset)
+    result = data._check_duality_identities(DualPair(poset, poset))
+    assert result.name == "duality_identities"
+    assert not result.passed
+    assert "minimal special covers" in result.details
 
 
 def test_round_trip(f4_bundle):
