@@ -40,6 +40,10 @@ def normalize_label(label: str) -> str:
     out = []
     for ch in unicodedata.normalize("NFD", text):
         if ch == "̃":  # combining tilde: rewrite X~ as ~X
+            if not out:
+                raise UnknownLabelError(
+                    f"label {label!r} starts with a combining tilde"
+                )
             prev = out.pop()
             out.append("~")
             out.append(prev)

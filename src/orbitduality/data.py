@@ -114,11 +114,18 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: ``true`` and ``false`` are not ints here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _need(doc: dict, key: str, kind, where: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be an object, not {type(doc).__name__}")
     if key not in doc:
         raise SchemaError(f"missing field {key!r} in {where}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise SchemaError(
             f"field {key!r} in {where} has type {type(value).__name__}"
         )
@@ -154,7 +161,10 @@ def parse_bundle(source) -> GroupBundle:
     group = _need(doc, "group", dict, "bundle")
     gtype = _need(group, "type", str, "group")
     grank = _need(group, "rank", int, "group")
-    node_order = tuple(group.get("node_order", range(1, grank + 1)))
+    node_order = group.get("node_order", list(range(1, grank + 1)))
+    if not (isinstance(node_order, list) and all(map(_is_int, node_order))):
+        raise SchemaError(f"node_order {node_order!r} must be a list of integers")
+    node_order = tuple(node_order)
     if sorted(node_order) != list(range(1, grank + 1)):
         raise SchemaError(f"node_order {node_order} is not a permutation")
     dual_group = _need(doc, "dual_group", str, "bundle")
@@ -169,7 +179,7 @@ def parse_bundle(source) -> GroupBundle:
         labels.add(label)
         special = _need(od, "special", bool, f"orbit {label}")
         dim = od.get("dim")
-        if dim is not None and not isinstance(dim, int):
+        if dim is not None and not _is_int(dim):
             raise SchemaError(f"orbit {label} has non-integer dim")
         wd = od.get("weighted_dynkin")
         if wd is not None:
@@ -177,7 +187,11 @@ def parse_bundle(source) -> GroupBundle:
                 raise SchemaError(
                     f"orbit {label} weighted_dynkin must have {grank} entries"
                 )
-            wd = tuple(int(x) for x in wd)
+            if not all(map(_is_int, wd)):
+                raise SchemaError(
+                    f"orbit {label} weighted_dynkin entries must be integers"
+                )
+            wd = tuple(wd)
         orbits.append(OrbitRecord(label, special, dim, wd))
     if not orbits:
         raise SchemaError("bundle has no orbits")
@@ -188,7 +202,7 @@ def parse_bundle(source) -> GroupBundle:
             raise SchemaError(f"closure entry {pair!r} is not a pair")
         lo, hi = pair
         for lab in (lo, hi):
-            if lab not in labels:
+            if not isinstance(lab, str) or lab not in labels:
                 raise SchemaError(f"closure references unknown orbit {lab!r}")
         closure.append((lo, hi))
 
@@ -217,7 +231,10 @@ def parse_bundle(source) -> GroupBundle:
         raise SchemaError("provenance note for d_s is mandatory")
 
     param_sets = []
-    for ps_doc in doc.get("parameter_sets", []):
+    ps_docs = doc.get("parameter_sets", [])
+    if not isinstance(ps_docs, list):
+        raise SchemaError("parameter_sets must be a list")
+    for ps_doc in ps_docs:
         ic = _need(ps_doc, "ic_orbit", str, "parameter set")
         if ic not in labels:
             raise SchemaError(f"parameter set references unknown orbit {ic!r}")

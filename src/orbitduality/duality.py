@@ -7,6 +7,11 @@ of its dual group; embedding a bar class as the pair
 ``(orbit, sommers image)`` and flipping the two coordinates yields the
 refined duality, with a detour through the minimal special cover when
 the flipped pair is not itself in the image of the dual embedding.
+
+One ``achar_dual`` or ``min_special_cover`` call tabulates the embedding
+of each side once, 2·|B| Sommers-table lookups for |B| bar classes, and
+answers every specialness, cover and inverse question from those tables;
+nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -78,14 +83,31 @@ def _flip_pair(p: OrbitPair) -> OrbitPair:
     return (p[1], p[0])
 
 
-def _unembed(pair: DualPair, target: OrbitPair) -> BarClass | None:
-    """Inverse of embed on the given pair's group, None when not hit."""
-    hits = [
-        bc for bc in all_bar_classes(pair.g) if embed(pair, bc) == target
-    ]
+class _Embedding:
+    """One side's embedding, tabulated for the duration of one call.
+
+    ``pairs`` maps every bar class of ``pair.g`` to its embedded pair, in
+    ``all_bar_classes`` order; ``hits`` maps each embedded pair back to
+    every bar class that lands on it.  Building it costs |B| Sommers
+    lookups; every later question about the side reads these dicts.
+    """
+
+    def __init__(self, pair: DualPair):
+        self.pair = pair
+        self.pairs = {
+            (o, c): (o, pair.g.sommers(o, c)) for o, c in all_bar_classes(pair.g)
+        }
+        self.hits: dict[OrbitPair, list[BarClass]] = {}
+        for bc, p in self.pairs.items():
+            self.hits.setdefault(p, []).append(bc)
+
+
+def _unembed(side: _Embedding, target: OrbitPair) -> BarClass | None:
+    """Inverse of embed on the table's side, None when not hit."""
+    hits = side.hits.get(target, ())
     if len(hits) > 1:
         raise InconsistentDataError(
-            f"embedding of {pair.g.group_id} is not injective at {target}"
+            f"embedding of {side.pair.g.group_id} is not injective at {target}"
         )
     return hits[0] if hits else None
 
@@ -93,22 +115,22 @@ def _unembed(pair: DualPair, target: OrbitPair) -> BarClass | None:
 def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
     """Whether the flipped embedded pair lies in the dual embedding image."""
     target = _flip_pair(embed(pair, bc))
-    return _unembed(pair.flip(), target) is not None
+    return _unembed(_Embedding(pair.flip()), target) is not None
 
 
-def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:
-    """The unique smallest special bar class above bc in the embedded order."""
-    bc = pair.check(bc)
-    here = embed(pair, bc)
+def _min_special_cover(
+    side: _Embedding, flipped: _Embedding, bc: BarClass
+) -> BarClass:
+    pair = side.pair
+    here = side.pairs[bc]
     above = [
-        other
-        for other in all_bar_classes(pair.g)
-        if is_special_pair(pair, other)
-        and pair_leq(pair, here, embed(pair, other))
+        (other, p)
+        for other, p in side.pairs.items()
+        if _unembed(flipped, _flip_pair(p)) is not None
+        and pair_leq(pair, here, p)
     ]
     minima = [
-        m for m in above
-        if all(pair_leq(pair, embed(pair, m), embed(pair, o)) for o in above)
+        m for m, p in above if all(pair_leq(pair, p, q) for _, q in above)
     ]
     if len(minima) != 1:
         raise NonUniqueCoverError(
@@ -118,11 +140,19 @@ def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:
     return minima[0]
 
 
+def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:
+    """The unique smallest special bar class above bc in the embedded order."""
+    bc = pair.check(bc)
+    return _min_special_cover(_Embedding(pair), _Embedding(pair.flip()), bc)
+
+
 def achar_dual(pair: DualPair, bc: BarClass) -> BarClass:
     """Refined duality: embed the minimal special cover, flip, unembed."""
-    cover = min_special_cover(pair, bc)
-    target = _flip_pair(embed(pair, cover))
-    out = _unembed(pair.flip(), target)
+    checked = pair.check(bc)
+    side, flipped = _Embedding(pair), _Embedding(pair.flip())
+    cover = _min_special_cover(side, flipped, checked)
+    target = _flip_pair(side.pairs[cover])
+    out = _unembed(flipped, target)
     if out is None:
         raise InconsistentDataError(
             f"flipped cover {target} of {bc} is outside the dual "

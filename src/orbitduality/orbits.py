@@ -33,8 +33,11 @@ def parse_partition_label(label: str) -> tuple[pt.Partition, str]:
     if not (body.startswith("(") and body.endswith(")")):
         raise UnknownLabelError(f"not a partition label: {label!r}")
     inner = body[1:-1]
-    parts = [int(x) for x in inner.split(",")] if inner else []
-    return pt.partition(parts), decoration
+    try:
+        parts = [int(x) for x in inner.split(",")] if inner else []
+        return pt.partition(parts), decoration
+    except ValueError:
+        raise UnknownLabelError(f"not a partition label: {label!r}") from None
 
 
 class NilpotentPoset:
@@ -46,6 +49,7 @@ class NilpotentPoset:
 
     group_id: str = ""
     labels: tuple[str, ...] = ()
+    _label_set: frozenset[str] = frozenset()  # labels, for O(1) checks
 
     # -- primitives supplied by subclasses --------------------------------
 
@@ -82,7 +86,11 @@ class NilpotentPoset:
     # -- shared behaviour --------------------------------------------------
 
     def check_label(self, label: str) -> None:
-        if label not in self.labels:
+        try:
+            known = label in self._label_set
+        except TypeError:  # unhashable, so not a label
+            known = False
+        if not known:
             raise UnknownLabelError(
                 f"unknown orbit {label!r} in group {self.group_id}"
             )
@@ -179,6 +187,7 @@ class ClassicalPoset(NilpotentPoset):
                 self._part[lab] = p
                 self._dec[lab] = ""
         self.labels = tuple(labels)
+        self._label_set = frozenset(self.labels)
 
     def partition_of(self, label: str) -> pt.Partition:
         self.check_label(label)
@@ -264,6 +273,7 @@ class BundlePoset(NilpotentPoset):
                  special_flags=None):
         self.group_id = group_id
         self.labels = tuple(labels)
+        self._label_set = frozenset(self.labels)
         self._leq = transitive_closure(self.labels, covers)
         self._bar = {o: tuple(cs) for o, cs in bar_a.items()}
         self._ds = dict(ds)

@@ -12,7 +12,7 @@ first projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .duality import BarClass, DualPair, achar_dual, embed, pair_leq
 from .errors import InconsistentDataError, UnknownLabelError
@@ -36,11 +36,10 @@ class ParameterSet:
 
     ic_orbit: str
     params: tuple[Parameter, ...]
-    _by_id: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        for x in self.params:
-            self._by_id[x.id] = x
+        # an index beside the fields: not a constructor argument, not compared
+        object.__setattr__(self, "_by_id", {x.id: x for x in self.params})
 
     def __iter__(self):
         return iter(self.params)

@@ -115,6 +115,15 @@ def test_unknown_label_exit_code(capsys, bundle_path):
     assert "E8" in err
 
 
+@pytest.mark.parametrize("command", ["dual", "special-piece"])
+def test_leading_combining_tilde_is_unknown_label(capsys, bundle_path, command):
+    code, out, err = run_cli(capsys, "--bundle", bundle_path, command, "\u0303A1")
+    assert code == 1
+    assert out == ""
+    assert err.count("error:") == 1 and "combining tilde" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_parameter_exit_code(capsys, bundle_path):
     code, _, err = run_cli(capsys, "--bundle", bundle_path, "cuwf", "X99")
     assert code == 1

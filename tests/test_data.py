@@ -254,6 +254,33 @@ def test_schema_errors(f4_doc, mutate, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        pytest.param(["orbits", 0], "label", id="orbit-string"),
+        pytest.param(["orbits", 0], 3, id="orbit-int"),
+        pytest.param(["group", "node_order"], 4, id="node-order-int"),
+        pytest.param(["group", "node_order"], [1, "2", 3, 4], id="node-order-str"),
+        pytest.param(["orbits", 3, "weighted_dynkin", 1], "a", id="dynkin-str"),
+        pytest.param(["orbits", 3, "weighted_dynkin", 1], True, id="dynkin-bool"),
+        pytest.param(["orbits", 3, "dim"], True, id="dim-bool"),
+        pytest.param(["group", "rank"], True, id="rank-bool"),
+        pytest.param(["format_version"], True, id="version-bool"),
+        pytest.param(["parameter_sets", 0, "parameters", 0], 7, id="parameter-int"),
+        pytest.param(["parameter_sets", 0], "F4(a3)", id="parameter-set-string"),
+        pytest.param(["parameter_sets"], 7, id="parameter-sets-int"),
+        pytest.param(["closure", 0], ["0", ["A1"]], id="closure-list-label"),
+    ],
+)
+def test_malformed_records_raise_schema_error(f4_doc, path, value):
+    target = f4_doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError):
+        data.parse_bundle(json.dumps(f4_doc))
+
+
 def test_malformed_document():
     with pytest.raises(SchemaError):
         data.parse_bundle("{ not json")

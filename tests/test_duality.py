@@ -1,5 +1,9 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from orbitduality import data
 from orbitduality.duality import (
     DualPair,
     achar_dual,
@@ -16,6 +20,11 @@ from orbitduality.errors import (
     UnknownLabelError,
 )
 from orbitduality.orbits import BundlePoset, classical_poset
+from orbitduality.packets import check_jiang
+
+GOLDEN_LIB = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "f4_lib.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +162,58 @@ def test_non_unique_cover_raises():
         min_special_cover(pair, ("0", "1"))
     with pytest.raises(NonUniqueCoverError):
         achar_dual(pair, ("0", "1"))
+
+
+def test_refined_duality_matches_golden_answers(f4_pair):
+    golden = json.loads(GOLDEN_LIB.read_text(encoding="utf-8"))
+    classes = all_bar_classes(f4_pair.g)
+    assert len(classes) == 21
+    for kind, pair, fn in (
+        ("achar_dual.g", f4_pair, achar_dual),
+        ("achar_dual.gd", f4_pair.flip(), achar_dual),
+        ("min_special_cover", f4_pair, min_special_cover),
+    ):
+        assert set(golden[kind]) == {f"{o}|{c}" for o, c in classes}
+        for o, c in classes:
+            assert list(fn(pair, (o, c))) == golden[kind][f"{o}|{c}"], (kind, o, c)
+
+
+@pytest.fixture()
+def sommers_calls(monkeypatch):
+    calls = []
+    real = BundlePoset.sommers
+
+    def counted(self, label, class_label):
+        calls.append((label, class_label))
+        return real(self, label, class_label)
+
+    monkeypatch.setattr(BundlePoset, "sommers", counted)
+    return calls
+
+
+def test_refined_duality_is_linear_in_bar_classes(f4_pair, sommers_calls):
+    # each call tabulates both sides' embeddings once: 2 x 21 lookups
+    for bc in all_bar_classes(f4_pair.g):
+        sommers_calls.clear()
+        achar_dual(f4_pair, bc)
+        assert 0 < len(sommers_calls) <= 42, bc
+
+
+def test_validation_lookup_count(sommers_calls):
+    bundle = data.parse_bundle(data.builtin_bundle_text("f4"))
+    assert data.validate_bundle(bundle).passed
+    assert 0 < len(sommers_calls) <= 2500
+
+
+def test_check_jiang_lookup_count(f4_pair, f4_params, sommers_calls):
+    assert check_jiang(f4_pair, f4_params).passed
+    assert 0 < len(sommers_calls) <= 2500
+
+
+def test_unknown_bar_class_raises_before_any_lookup(f4_pair, sommers_calls):
+    for fn in (achar_dual, min_special_cover):
+        with pytest.raises(UnknownLabelError):
+            fn(f4_pair, ("E8", "1"))
+        with pytest.raises(UnknownLabelError):
+            fn(f4_pair, ("F4(a3)", "(13)"))
+    assert sommers_calls == []

@@ -39,6 +39,12 @@ def test_partition_labels_round_trip():
         parse_partition_label("F4(a3)")
 
 
+@pytest.mark.parametrize("label", ["(a,b)", "(1,3)", "(2,0,1)", "(2,,1)"])
+def test_bad_partition_label_is_unknown(label):
+    with pytest.raises(UnknownLabelError):
+        parse_partition_label(label)
+
+
 def test_zero_and_regular_orbits():
     b2 = classical_poset("B", 2)
     assert b2.zero() == "(1,1,1,1,1)"
@@ -150,6 +156,15 @@ def test_unknown_label_and_missing_tables():
     assert a2.sommers("(2,1)", "1") == "(2,1)"
     with pytest.raises(UnknownLabelError):
         a2.sommers("(2,1)", "(12)")
+
+
+@pytest.mark.parametrize("label", [3, None, ("(4)",), ["(4)"], {"(4)": 1}])
+def test_non_string_label_is_unknown(f4_pair, label):
+    for poset in (classical_poset("C", 2), f4_pair.g):
+        with pytest.raises(UnknownLabelError):
+            poset.check_label(label)
+        with pytest.raises(UnknownLabelError):
+            poset.leq(label, poset.labels[0])
 
 
 # -- bundle-backed poset ------------------------------------------------------

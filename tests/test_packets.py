@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from orbitduality.duality import DualPair, embed, pair_leq
@@ -127,6 +129,19 @@ def test_check_jiang_empty_set_vacuous(f4_pair):
 def test_unknown_parameter(f4_params):
     with pytest.raises(UnknownLabelError):
         f4_params.get("X99")
+
+
+def test_parameter_set_index_is_not_a_field():
+    names = [f.name for f in dataclasses.fields(ParameterSet)]
+    assert names == ["ic_orbit", "params"]
+    x = Parameter("X1", "0", "", az_partner="X1")
+    ps = ParameterSet("F4(a3)", (x,))
+    assert ps.get("X1") is x
+    assert ps == ParameterSet("F4(a3)", (x,))
+    with pytest.raises(UnknownLabelError):
+        ps.get("X2")
+    with pytest.raises(TypeError):
+        ParameterSet("F4(a3)", (x,), {})
 
 
 def test_check_infl_sum(f4_pair):
