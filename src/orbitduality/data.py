@@ -160,6 +160,8 @@ def parse_bundle(source) -> GroupBundle:
         raise SchemaError(f"unsupported format_version {version}")
     group = _need(doc, "group", dict, "bundle")
     gtype = _need(group, "type", str, "group")
+    if not gtype:
+        raise SchemaError("field 'type' in group is empty")
     grank = _need(group, "rank", int, "group")
     node_order = group.get("node_order", list(range(1, grank + 1)))
     if not (isinstance(node_order, list) and all(map(_is_int, node_order))):

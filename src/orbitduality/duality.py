@@ -11,7 +11,8 @@ the flipped pair is not itself in the image of the dual embedding.
 One ``achar_dual`` or ``min_special_cover`` call tabulates the embedding
 of each side once, 2·|B| Sommers-table lookups for |B| bar classes, and
 answers every specialness, cover and inverse question from those tables;
-nothing is kept between calls.
+a packet query asks all its questions of one such table.  Nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -118,44 +119,57 @@ def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
     return _unembed(_Embedding(pair.flip()), target) is not None
 
 
-def _min_special_cover(
-    side: _Embedding, flipped: _Embedding, bc: BarClass
-) -> BarClass:
-    pair = side.pair
-    here = side.pairs[bc]
-    above = [
-        (other, p)
-        for other, p in side.pairs.items()
-        if _unembed(flipped, _flip_pair(p)) is not None
-        and pair_leq(pair, here, p)
-    ]
-    minima = [
-        m for m, p in above if all(pair_leq(pair, p, q) for _, q in above)
-    ]
-    if len(minima) != 1:
-        raise NonUniqueCoverError(
-            f"bar class {bc} of {pair.g.group_id} has "
-            f"{len(minima)} minimal special covers"
-        )
-    return minima[0]
+class _DualityTable:
+    """Refined duality on one pair, tabulated for the duration of one call.
+
+    Holds both sides' embeddings, built with the object (2·|B| Sommers
+    lookups), and computes each bar class's minimal special cover and D
+    once, on first request.  Bar classes must already have passed
+    ``pair.check``.
+    """
+
+    def __init__(self, pair: DualPair):
+        self.pair = pair
+        self.side = _Embedding(pair)
+        self.flipped = _Embedding(pair.flip())
+        self._covers: dict[BarClass, BarClass] = {}
+
+    def cover(self, bc: BarClass) -> BarClass:
+        """The unique smallest special bar class above bc."""
+        if bc not in self._covers:
+            pair, pairs = self.pair, self.side.pairs
+            here = pairs[bc]
+            above = [
+                (other, p)
+                for other, p in pairs.items()
+                if _unembed(self.flipped, _flip_pair(p)) is not None
+                and pair_leq(pair, here, p)
+            ]
+            minima = [
+                m for m, p in above if all(pair_leq(pair, p, q) for _, q in above)
+            ]
+            if len(minima) != 1:
+                raise NonUniqueCoverError(
+                    f"bar class {bc} of {pair.g.group_id} has "
+                    f"{len(minima)} minimal special covers"
+                )
+            self._covers[bc] = minima[0]
+        return self._covers[bc]
+
+    def dual(self, bc: BarClass) -> BarClass:
+        """D(bc): embed the cover, flip, unembed.  A cover is special, so
+        its flipped pair has exactly one preimage in the flipped table."""
+        target = _flip_pair(self.side.pairs[self.cover(bc)])
+        return self.flipped.hits[target][0]
 
 
 def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:
     """The unique smallest special bar class above bc in the embedded order."""
     bc = pair.check(bc)
-    return _min_special_cover(_Embedding(pair), _Embedding(pair.flip()), bc)
+    return _DualityTable(pair).cover(bc)
 
 
 def achar_dual(pair: DualPair, bc: BarClass) -> BarClass:
     """Refined duality: embed the minimal special cover, flip, unembed."""
-    checked = pair.check(bc)
-    side, flipped = _Embedding(pair), _Embedding(pair.flip())
-    cover = _min_special_cover(side, flipped, checked)
-    target = _flip_pair(side.pairs[cover])
-    out = _unembed(flipped, target)
-    if out is None:
-        raise InconsistentDataError(
-            f"flipped cover {target} of {bc} is outside the dual "
-            f"embedding image (corrupt tables)"
-        )
-    return out
+    bc = pair.check(bc)
+    return _DualityTable(pair).dual(bc)

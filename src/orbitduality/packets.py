@@ -8,13 +8,25 @@ orbit data: temperedness compares orbits, the wavefront invariant is the
 refined dual of the partner's orbit at the trivial class, and the two
 packet notions are sublevel sets of that invariant and of its coarse
 first projection.
+
+One packet query (``arthur_packet``, ``weak_packet`` or ``check_jiang``)
+tabulates the refined duality once, 2·|B| Sommers-table lookups for |B|
+bar classes, and reads the bound and every parameter's invariant from
+that one table; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import BarClass, DualPair, achar_dual, embed, pair_leq
+from .duality import (
+    BarClass,
+    DualPair,
+    OrbitPair,
+    _DualityTable,
+    achar_dual,
+    pair_leq,
+)
 from .errors import InconsistentDataError, UnknownLabelError
 from .orbits import NilpotentPoset
 from .rootdata import Coweight, dominant_rep, half_sum, weyl_conjugate
@@ -93,19 +105,42 @@ def geometric_wf(pair: DualPair, ps: ParameterSet, x: Parameter) -> str:
     return cuwf(pair, ps, x)[0]
 
 
-def _cuwf_bound(pair: DualPair, ps: ParameterSet) -> BarClass:
-    return achar_dual(pair.flip(), (ps.ic_orbit, "1"))
+class _Wavefronts:
+    """The wavefront invariants of one packet query, from one table.
+
+    The refined duality on ``pair.flip()`` is tabulated on the first
+    question; the bound D(ic_orbit, 1) and every parameter's cuwf are
+    read from it and embedded on the g side from the same table.  Each
+    question checks its bar class first and is answered when asked, so
+    corrupt data raises what the per-parameter calls would, in order.
+    """
+
+    def __init__(self, pair: DualPair, ps: ParameterSet):
+        self.pair, self.ps, self.flip = pair, ps, pair.flip()
+        self._table: _DualityTable | None = None
+
+    def _dual(self, orbit: str) -> BarClass:
+        bc = self.flip.check((orbit, "1"))
+        if self._table is None:
+            self._table = _DualityTable(self.flip)
+        return self._table.dual(bc)
+
+    def embed(self, bc: BarClass) -> OrbitPair:
+        # the table is on pair.flip(), so its flipped side is pair.g
+        return self._table.flipped.pairs[bc]
+
+    def bound(self) -> OrbitPair:
+        return self.embed(self._dual(self.ps.ic_orbit))
+
+    def cuwf(self, x: Parameter) -> BarClass:
+        return self._dual(az_dual(self.ps, x).n_orbit)
 
 
-def arthur_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
-    """Parameters whose wavefront invariant is below the dual of the
-    infinitesimal-character orbit; provably the same set as the
-    parameters with tempered partners, and checked against it."""
-    bound = embed(pair, _cuwf_bound(pair, ps))
+def _arthur_packet(wf: _Wavefronts) -> list[str]:
+    pair, ps = wf.pair, wf.ps
+    bound = wf.bound()
     by_wavefront = {
-        x.id
-        for x in ps
-        if pair_leq(pair, embed(pair, cuwf(pair, ps, x)), bound)
+        x.id for x in ps if pair_leq(pair, wf.embed(wf.cuwf(x)), bound)
     }
     by_tempered_dual = {x.id for x in ps if is_tempered(ps, az_dual(ps, x))}
     if by_wavefront != by_tempered_dual:
@@ -117,14 +152,20 @@ def arthur_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     return sorted(by_wavefront, key=natural_key)
 
 
+def arthur_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
+    """Parameters whose wavefront invariant is below the dual of the
+    infinitesimal-character orbit; provably the same set as the
+    parameters with tempered partners, and checked against it."""
+    return _arthur_packet(_Wavefronts(pair, ps))
+
+
 def weak_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     """Parameters whose coarse wavefront orbit is below d(ic_orbit);
     provably the parameters whose partner orbit lies in the special piece
     of the infinitesimal-character orbit, and checked against it."""
+    wf = _Wavefronts(pair, ps)
     bound = pair.gd.d(ps.ic_orbit)
-    by_wavefront = {
-        x.id for x in ps if pair.g.leq(geometric_wf(pair, ps, x), bound)
-    }
+    by_wavefront = {x.id for x in ps if pair.g.leq(wf.cuwf(x)[0], bound)}
     piece = set(pair.gd.special_piece(ps.ic_orbit))
     by_piece = {x.id for x in ps if az_dual(ps, x).n_orbit in piece}
     if by_wavefront != by_piece:
@@ -169,15 +210,16 @@ class JiangReport:
 def check_jiang(pair: DualPair, ps: ParameterSet) -> JiangReport:
     """Every packet member's coarse wavefront orbit equals d(ic_orbit),
     and the refined lower bound holds across the whole parameter set."""
+    wf = _Wavefronts(pair, ps)
     d_ic = pair.gd.d(ps.ic_orbit)
     members = []
-    for pid in arthur_packet(pair, ps):
-        wf = geometric_wf(pair, ps, ps.get(pid))
-        members.append((pid, wf, wf == d_ic))
-    bound = embed(pair, _cuwf_bound(pair, ps))
+    for pid in _arthur_packet(wf):
+        orbit = wf.cuwf(ps.get(pid))[0]
+        members.append((pid, orbit, orbit == d_ic))
+    bound = wf.bound()
     lower = []
     for x in sorted(ps, key=lambda x: natural_key(x.id)):
-        holds = pair_leq(pair, bound, embed(pair, cuwf(pair, ps, x)))
+        holds = pair_leq(pair, bound, wf.embed(wf.cuwf(x)))
         lower.append((x.id, holds))
     return JiangReport(ps.ic_orbit, d_ic, tuple(members), tuple(lower))
 

@@ -1,8 +1,15 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from orbitduality import data
+
+# reproducible property tests that keep no example database on disk
+settings.register_profile(
+    "orbitduality", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("orbitduality")
 
 
 @pytest.fixture(scope="session")

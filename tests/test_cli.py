@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from orbitduality import cli, data
 
 BUNDLE = None
+GOLDEN_CLI = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "f4_cli.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +206,45 @@ def test_missing_dual_bundle_exits_2(capsys, tmp_path, command):
     assert out == ""
     assert err.count("error:") == 1 and "dual bundle is required" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dual", "0"],
+        ["achar-dual", "0", "1"],
+        ["closure", "0", "A1"],
+        ["special-piece", "0"],
+        ["cuwf", "X1"],
+        ["packet", "F4(a3)"],
+        ["weak-packet", "F4(a3)"],
+        ["verify"],
+        ["list"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_empty_group_type_exits_2(capsys, tmp_path, command):
+    doc = json.loads(data.builtin_bundle_text("f4"))
+    doc["group"]["type"] = ""
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--bundle", str(path), *command)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_outputs_match_golden(capsys, bundle_path):
+    golden = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
+    subcommands = {"packet", "weak-packet", "cuwf", "verify", "list"}
+    keys = [key for key in golden if key.split()[1] in subcommands]
+    assert len(keys) == 48  # 20 cuwf parameters and 4 other calls, 2 formats
+    for key in keys:
+        fmt, sub, *args = key.split()
+        code, out, _ = run_cli(
+            capsys, "--bundle", bundle_path, "--format", fmt, sub, *args
+        )
+        assert (code, out) == (golden[key]["exit"], golden[key]["stdout"]), key
 
 
 def test_unknown_flag_rejected(bundle_path):

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitduality import data
 from orbitduality.duality import DualPair
-from orbitduality.errors import BundleValidationError, SchemaError
+from orbitduality.errors import BundleValidationError, OrbitDualityError, SchemaError
 from orbitduality.orbits import BundlePoset
 from orbitduality.rootdata import Coweight
 
@@ -279,6 +281,48 @@ def test_malformed_records_raise_schema_error(f4_doc, path, value):
     target[path[-1]] = value
     with pytest.raises(SchemaError):
         data.parse_bundle(json.dumps(f4_doc))
+
+
+def test_empty_group_type_is_schema_error(f4_doc):
+    f4_doc["group"]["type"] = ""
+    with pytest.raises(SchemaError) as err:
+        data.parse_bundle(json.dumps(f4_doc))
+    assert "'type'" in str(err.value)
+    with pytest.raises(SchemaError):
+        load_doc(f4_doc)
+
+
+def _field_paths(node, path=()):
+    """Every field path of a JSON document; of each list, the first two entries."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node[:2])
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+F4_TEXT = data.builtin_bundle_text("f4")
+FIELD_PATHS = list(_field_paths(json.loads(F4_TEXT)))
+REPLACEMENTS = [None, True, 0, -1, 2.5, "", "x", [], {}, ["1"], {"a": 1}]
+
+
+@settings(max_examples=400)
+@given(path=st.sampled_from(FIELD_PATHS), value=st.sampled_from(REPLACEMENTS))
+@example(path=("group", "type"), value="")
+def test_single_field_replacement_raises_only_package_errors(path, value):
+    doc = json.loads(F4_TEXT)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        data.validate_bundle(data.parse_bundle(json.dumps(doc)))
+    except OrbitDualityError:
+        pass
 
 
 def test_malformed_document():

@@ -20,7 +20,7 @@ from orbitduality.errors import (
     UnknownLabelError,
 )
 from orbitduality.orbits import BundlePoset, classical_poset
-from orbitduality.packets import check_jiang
+from orbitduality.packets import arthur_packet, check_jiang, weak_packet
 
 GOLDEN_LIB = (
     Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "f4_lib.json"
@@ -208,6 +208,21 @@ def test_validation_lookup_count(sommers_calls):
 def test_check_jiang_lookup_count(f4_pair, f4_params, sommers_calls):
     assert check_jiang(f4_pair, f4_params).passed
     assert 0 < len(sommers_calls) <= 2500
+
+
+@pytest.mark.parametrize(
+    "query,most",
+    [
+        # one table on both sides, 2 x 21 lookups; check_jiang adds d(ic_orbit)
+        (arthur_packet, 42),
+        (check_jiang, 43),
+        # the rest is the special piece of ic_orbit, computed from d
+        (weak_packet, 600),
+    ],
+)
+def test_packet_query_lookup_count(f4_pair, f4_params, sommers_calls, query, most):
+    query(f4_pair, f4_params)
+    assert 0 < len(sommers_calls) <= most
 
 
 def test_unknown_bar_class_raises_before_any_lookup(f4_pair, sommers_calls):

@@ -1,11 +1,15 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
-from orbitduality.duality import DualPair, embed, pair_leq
+from orbitduality import data
+from orbitduality.duality import DualPair, achar_dual, embed, pair_leq
 from orbitduality.errors import InconsistentDataError, UnknownLabelError
 from orbitduality.orbits import BundlePoset
 from orbitduality.packets import (
+    JiangReport,
     Parameter,
     ParameterSet,
     arthur_packet,
@@ -189,3 +193,129 @@ def test_packet_inconsistency_detected():
     )
     with pytest.raises(InconsistentDataError):
         arthur_packet(pair, ps)
+
+
+# -- golden answers ------------------------------------------------------------
+
+GOLDEN_LIB = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "f4_lib.json"
+)
+
+
+def _encode(answer):
+    """The golden file's encoding: tuples as lists, reports as dicts."""
+    if isinstance(answer, JiangReport):
+        return answer.to_dict()
+    return list(answer) if isinstance(answer, tuple) else answer
+
+
+def test_packet_queries_match_golden_answers(f4_pair, f4_params):
+    golden = json.loads(GOLDEN_LIB.read_text(encoding="utf-8"))
+    ic = f4_params.ic_orbit
+    for kind, query in (
+        ("arthur_packet", arthur_packet),
+        ("weak_packet", weak_packet),
+        ("check_jiang", check_jiang),
+    ):
+        assert _encode(query(f4_pair, f4_params)) == golden[kind][ic], kind
+    assert len(f4_params.ids()) == 20
+    for kind, query in (("cuwf", cuwf), ("geometric_wf", geometric_wf)):
+        assert set(golden[kind]) == set(f4_params.ids())
+        for x in f4_params:
+            answer = _encode(query(f4_pair, f4_params, x))
+            assert answer == golden[kind][x.id], (kind, x.id)
+
+
+# -- one table per query against per-parameter calls ---------------------------
+
+
+def _ref_bound(pair, ps):
+    return embed(pair, achar_dual(pair.flip(), (ps.ic_orbit, "1")))
+
+
+def _ref_arthur_packet(pair, ps):
+    bound = _ref_bound(pair, ps)
+    by_wavefront = {
+        x.id
+        for x in ps
+        if pair_leq(pair, embed(pair, cuwf(pair, ps, x)), bound)
+    }
+    by_tempered_dual = {x.id for x in ps if is_tempered(ps, az_dual(ps, x))}
+    if by_wavefront != by_tempered_dual:
+        raise InconsistentDataError(
+            f"packet characterizations disagree at {ps.ic_orbit}: "
+            f"wavefront {sorted(by_wavefront)} vs "
+            f"tempered-dual {sorted(by_tempered_dual)}"
+        )
+    return sorted(by_wavefront, key=natural_key)
+
+
+def _ref_weak_packet(pair, ps):
+    bound = pair.gd.d(ps.ic_orbit)
+    by_wavefront = {
+        x.id for x in ps if pair.g.leq(geometric_wf(pair, ps, x), bound)
+    }
+    piece = set(pair.gd.special_piece(ps.ic_orbit))
+    by_piece = {x.id for x in ps if az_dual(ps, x).n_orbit in piece}
+    if by_wavefront != by_piece:
+        raise InconsistentDataError(
+            f"weak packet characterizations disagree at {ps.ic_orbit}: "
+            f"wavefront {sorted(by_wavefront)} vs "
+            f"special-piece {sorted(by_piece)}"
+        )
+    return sorted(by_wavefront, key=natural_key)
+
+
+def _ref_check_jiang(pair, ps):
+    d_ic = pair.gd.d(ps.ic_orbit)
+    members = []
+    for pid in _ref_arthur_packet(pair, ps):
+        wf = geometric_wf(pair, ps, ps.get(pid))
+        members.append((pid, wf, wf == d_ic))
+    bound = _ref_bound(pair, ps)
+    lower = []
+    for x in sorted(ps, key=lambda x: natural_key(x.id)):
+        holds = pair_leq(pair, bound, embed(pair, cuwf(pair, ps, x)))
+        lower.append((x.id, holds))
+    return JiangReport(ps.ic_orbit, d_ic, tuple(members), tuple(lower))
+
+
+def _outcome(query, *args):
+    try:
+        return ("ok", _encode(query(*args)))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# d_s entries set to other targets, as (orbit, class, target)
+DS_CORRUPTIONS = {
+    "intact": [],
+    "values-move": [("A2", "1", "B3")],
+    "no-unique-cover": [("0", "1", "A1+~A1"), ("A1+~A1", "1", "F4")],
+    "packets-disagree": [("0", "1", "F4(a3)"), ("C3(a1)", "1", "F4")],
+    "weak-packets-disagree": [("A1", "1", "C3"), ("A2", "1", "F4(a1)")],
+    "not-injective": [("F4(a3)", "(12)", "F4(a3)")],
+    # the bound and the parameters' invariants fail on different classes
+    "first-error": [("A1", "1", "F4(a2)"), ("F4(a3)", "1", "F4"), ("C3", "1", "C3")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DS_CORRUPTIONS))
+def test_packet_queries_match_per_parameter_reference(f4_doc, name):
+    for orbit, cls, target in DS_CORRUPTIONS[name]:
+        f4_doc["d_s"][orbit][cls] = target
+    bundle = data.parse_bundle(json.dumps(f4_doc))
+    pair = data.dual_pair(bundle)
+    ps = data.parameter_set(bundle, "F4(a3)")
+    for query, reference in (
+        (arthur_packet, _ref_arthur_packet),
+        (weak_packet, _ref_weak_packet),
+        (check_jiang, _ref_check_jiang),
+    ):
+        assert _outcome(query, pair, ps) == _outcome(reference, pair, ps)
+    for x in ps:
+        assert _outcome(cuwf, pair, ps, x) == _outcome(
+            lambda: achar_dual(
+                pair.flip(), (az_dual(ps, x).n_orbit, "1")
+            )
+        )
