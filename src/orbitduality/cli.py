@@ -24,7 +24,6 @@ from .packets import (
     az_dual,
     check_jiang,
     cuwf,
-    geometric_wf,
     natural_key,
     weak_packet,
 )
@@ -192,14 +191,14 @@ def _dispatch(args, bundle, pair: DualPair) -> int:
         _emit(fmt, list(piece), {"orbit": orbit, "piece": list(piece)})
 
     elif args.command == "cuwf":
-        ps, wf, geo = _param_wavefront(bundle, pair, args.param_id)
+        wf = _param_wavefront(bundle, pair, args.param_id)
         _emit(
             fmt,
-            [f"cuwf: {_format_barclass(wf)}", f"geometric: {geo}"],
+            [f"cuwf: {_format_barclass(wf)}", f"geometric: {wf[0]}"],
             {
                 "id": args.param_id,
                 "cuwf": {"orbit": wf[0], "class": wf[1]},
-                "geometric": geo,
+                "geometric": wf[0],
             },
         )
 
@@ -278,7 +277,7 @@ def _param_wavefront(bundle, pair, param_id):
             x = ps.get(param_id)
         except UnknownLabelError:
             continue
-        return ps, cuwf(pair, ps, x), geometric_wf(pair, ps, x)
+        return cuwf(pair, ps, x)
     raise UnknownLabelError(f"unknown parameter id {param_id!r}")
 
 

@@ -10,19 +10,13 @@ BundleValidationError naming the violated invariant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import wraps
 from importlib import resources
 
-from .duality import (
-    DualPair,
-    achar_dual,
-    all_bar_classes,
-    embed,
-    pair_leq,
-)
+from .duality import DualPair, _DualityTable, normalize_class, pair_leq
 from .errors import (
     BundleValidationError,
-    NonUniqueCoverError,
     OrbitDualityError,
     SchemaError,
     UnknownLabelError,
@@ -218,6 +212,8 @@ def parse_bundle(source) -> GroupBundle:
             raise SchemaError(f"bar_a[{orbit!r}] must be a list of strings")
         if len(set(classes)) != len(classes):
             raise SchemaError(f"bar_a[{orbit!r}] has duplicate classes")
+        if any(normalize_class(c) != c for c in classes):
+            raise SchemaError(f"bar_a[{orbit!r}] has a class label with spaces")
         bar_a[orbit] = tuple(classes)
 
     d_s = {}
@@ -226,6 +222,8 @@ def parse_bundle(source) -> GroupBundle:
             raise SchemaError(f"d_s references unknown orbit {orbit!r}")
         if not isinstance(table, dict):
             raise SchemaError(f"d_s[{orbit!r}] must be an object")
+        if not all(isinstance(t, str) for t in table.values()):
+            raise SchemaError(f"d_s[{orbit!r}] values must be orbit labels")
         d_s[orbit] = dict(table)
 
     provenance = _need(doc, "provenance", dict, "bundle")
@@ -252,13 +250,25 @@ def parse_bundle(source) -> GroupBundle:
                 raise SchemaError(
                     f"parameter {pid} references unknown orbit {n_orbit!r}"
                 )
+            rho = pd.get("rho", "")
+            iwahori = pd.get("iwahori", True)
+            unitary = pd.get("unitary")
+            if not (
+                isinstance(rho, str)
+                and isinstance(iwahori, bool)
+                and isinstance(unitary, (bool, type(None)))
+            ):
+                raise SchemaError(
+                    f"parameter {pid}: rho must be a string, iwahori a "
+                    f"boolean, unitary a boolean or null"
+                )
             params.append(
                 Parameter(
                     id=pid,
                     n_orbit=n_orbit,
-                    rho=str(pd.get("rho", "")),
-                    iwahori=bool(pd.get("iwahori", True)),
-                    unitary=pd.get("unitary"),
+                    rho=rho,
+                    iwahori=iwahori,
+                    unitary=unitary,
                     az_partner=_need(pd, "az", str, f"parameter {pid}"),
                 )
             )
@@ -363,6 +373,22 @@ def _brief(items, limit=4) -> str:
     return shown
 
 
+def _check(fn):
+    """Make fn a validator check named after it: a package error raised
+    while it reads the data fails that check instead of escaping."""
+    name = fn.__name__.removeprefix("_check_")
+
+    @wraps(fn)
+    def run(*args):
+        try:
+            return fn(*args)
+        except OrbitDualityError as exc:
+            return CheckResult(name, False, str(exc))
+
+    return run
+
+
+@_check
 def _check_closure_order(bundle, poset):
     problems = []
     for a in poset.labels:
@@ -373,11 +399,8 @@ def _check_closure_order(bundle, poset):
                 )
     if problems:
         return CheckResult("closure_order", False, _brief(problems))
-    try:
-        zero = poset.zero()
-        reg = poset.regular()
-    except NonUniqueCoverError as exc:
-        return CheckResult("closure_order", False, str(exc))
+    zero = poset.zero()
+    reg = poset.regular()
     if zero != "0":
         return CheckResult(
             "closure_order", False, f"minimum orbit is {zero!r}, expected '0'"
@@ -392,6 +415,7 @@ def _check_closure_order(bundle, poset):
     )
 
 
+@_check
 def _check_bar_classes(poset):
     for label in poset.labels:
         if "1" not in poset.bar_classes(label):
@@ -401,6 +425,7 @@ def _check_bar_classes(poset):
     return CheckResult("bar_classes", True, "")
 
 
+@_check
 def _check_ds_table(bundle, poset, dual_labels):
     missing = []
     for label in poset.labels:
@@ -441,6 +466,7 @@ def _check_ds_table(bundle, poset, dual_labels):
     return CheckResult("ds_table", True, "total and surjective")
 
 
+@_check
 def _check_d_duality(poset, dual):
     bad_cube = [
         a for a in poset.labels
@@ -463,6 +489,7 @@ def _check_d_duality(poset, dual):
     return CheckResult("d_duality", True, "d^3 = d and d order-reversing")
 
 
+@_check
 def _check_special_flags(poset):
     bad = [
         a for a in poset.labels
@@ -477,6 +504,7 @@ def _check_special_flags(poset):
     return CheckResult("special_flags", True, "")
 
 
+@_check
 def _check_weighted_dynkin(poset):
     bad = []
     for label in poset.labels:
@@ -491,6 +519,7 @@ def _check_weighted_dynkin(poset):
     return CheckResult("weighted_dynkin", True, "")
 
 
+@_check
 def _check_dynkin_dims(poset):
     rs = poset.root_system()
     if rs is None:
@@ -513,6 +542,7 @@ def _check_dynkin_dims(poset):
     return CheckResult("dynkin_dims", True, "")
 
 
+@_check
 def _check_az_links(bundle, poset):
     for ps in bundle.parameter_sets:
         ids = {x.id for x in ps.params}
@@ -536,6 +566,7 @@ def _check_az_links(bundle, poset):
     )
 
 
+@_check
 def _check_parameter_orbits(bundle, poset):
     bad = []
     for ps in bundle.parameter_sets:
@@ -547,50 +578,40 @@ def _check_parameter_orbits(bundle, poset):
     return CheckResult("parameter_orbits", True, "")
 
 
+@_check
 def _check_duality_identities(pair: DualPair) -> CheckResult:
     """Embedding injective, pr1∘D = d_S, D^3 = D and D order-reversing.
 
-    The embedding and D are tabulated once per call, D on the dual side
-    only over the image of D, so each law is checked by table lookups.
+    One refined-duality table and its flip answer every question, D on the
+    dual side only over the image of D, so each law is a table lookup.
     """
     def failed(details):
         return CheckResult("duality_identities", False, details)
 
-    flip = pair.flip()
-    try:
-        embedded, unembed = {}, {}
-        for bc in all_bar_classes(pair.g):
-            img = embedded[bc] = embed(pair, bc)
-            if img in unembed:
-                return failed(
-                    f"embedding collision: {unembed[img]} and {bc} "
-                    f"both map to {img}"
-                )
-            unembed[img] = bc
-        refined = {bc: achar_dual(pair, bc) for bc in embedded}
-        image = dict.fromkeys(refined.values())
-        back = {b: achar_dual(flip, b) for b in image}
-        back_embedded = {b: embed(flip, b) for b in image}
-        for bc, once in refined.items():
-            if embedded[bc][1] != once[0]:
-                return failed(
-                    f"pr1 of the refined dual differs from the Sommers "
-                    f"image at {bc}"
-                )
-            if refined[back[once]] != once:
-                return failed(f"D^3 != D at {bc}")
-        for x in embedded:
-            for y in embedded:
-                if pair_leq(pair, embedded[x], embedded[y]) and not pair_leq(
-                    flip,
-                    back_embedded[refined[y]],
-                    back_embedded[refined[x]],
-                ):
-                    return failed(
-                        f"refined duality not order-reversing on {x} <= {y}"
-                    )
-    except OrbitDualityError as exc:
-        return failed(str(exc))
+    table = _DualityTable(pair)
+    embedded = table.side.pairs
+    for bc, img in embedded.items():
+        first = table.side.hits[img][0]
+        if first != bc:
+            return failed(
+                f"embedding collision: {first} and {bc} both map to {img}"
+            )
+    refined = {bc: table.dual(bc) for bc in embedded}
+    flip = table.flip()
+    back = {b: flip.dual(b) for b in dict.fromkeys(refined.values())}
+    for bc, once in refined.items():
+        if embedded[bc][1] != once[0]:
+            return failed(
+                f"pr1 of the refined dual differs from the Sommers image at {bc}"
+            )
+        if refined[back[once]] != once:
+            return failed(f"D^3 != D at {bc}")
+    for x in embedded:
+        for y in embedded:
+            if pair_leq(pair, embedded[x], embedded[y]) and not pair_leq(
+                flip.pair, flip.side.pairs[refined[y]], flip.side.pairs[refined[x]]
+            ):
+                return failed(f"refined duality not order-reversing on {x} <= {y}")
     return CheckResult(
         "duality_identities", True, "embedding injective, D^3 = D, pr1∘D = d_S"
     )
@@ -601,31 +622,35 @@ def validate_bundle(
 ) -> ValidationReport:
     """Run every invariant check and return the full report."""
     poset, dual_poset = _poset_pair(bundle, dual_bundle)
-    checks = [
-        _check_closure_order(bundle, poset),
-        _check_bar_classes(poset),
-        _check_ds_table(
-            bundle, poset, dual_poset.labels if dual_poset is not None else None
-        ),
-        _check_weighted_dynkin(poset),
-        _check_dynkin_dims(poset),
-        _check_az_links(bundle, poset),
-        _check_parameter_orbits(bundle, poset),
-    ]
-    if dual_poset is None:
-        checks.append(
-            CheckResult("d_duality", True, "skipped: no dual-group data")
+    dual_labels = dual_poset.labels if dual_poset is not None else None
+    checks = {
+        c.name: c
+        for c in (
+            _check_closure_order(bundle, poset),
+            _check_bar_classes(poset),
+            _check_ds_table(bundle, poset, dual_labels),
+            _check_weighted_dynkin(poset),
+            _check_dynkin_dims(poset),
+            _check_az_links(bundle, poset),
+            _check_parameter_orbits(bundle, poset),
         )
-    elif not (checks[0].passed and checks[2].passed):
-        checks.append(
-            CheckResult("d_duality", False, "skipped: prerequisite checks failed")
+    }
+    if dual_poset is None:
+        checks["d_duality"] = CheckResult(
+            "d_duality", True, "skipped: no dual-group data"
+        )
+    elif not (checks["closure_order"].passed and checks["ds_table"].passed):
+        checks["d_duality"] = CheckResult(
+            "d_duality", False, "skipped: prerequisite checks failed"
         )
     else:
-        checks.append(_check_d_duality(poset, dual_poset))
-        checks.append(_check_special_flags(poset))
-        if checks[-1].passed and checks[-2].passed:
-            checks.append(_check_duality_identities(DualPair(poset, dual_poset)))
-    return ValidationReport(tuple(checks))
+        checks["d_duality"] = _check_d_duality(poset, dual_poset)
+        checks["special_flags"] = _check_special_flags(poset)
+        if checks["d_duality"].passed and checks["special_flags"].passed:
+            checks["duality_identities"] = _check_duality_identities(
+                DualPair(poset, dual_poset)
+            )
+    return ValidationReport(tuple(checks.values()))
 
 
 def load_bundle(source, dual_bundle: GroupBundle | None = None) -> GroupBundle:

@@ -11,13 +11,16 @@ the flipped pair is not itself in the image of the dual embedding.
 One ``achar_dual`` or ``min_special_cover`` call tabulates the embedding
 of each side once, 2·|B| Sommers-table lookups for |B| bar classes, and
 answers every specialness, cover and inverse question from those tables;
-a packet query asks all its questions of one such table.  Nothing is
-kept between calls.
+a packet query asks all its questions of one such table.  The table's
+``flip()`` is the table on the flipped pair over the same two embeddings,
+so validation checks ``D^3 = D`` and order reversal on both sides for
+the same 2·|B| lookups.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     GroupMismatchError,
@@ -122,17 +125,25 @@ def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
 class _DualityTable:
     """Refined duality on one pair, tabulated for the duration of one call.
 
-    Holds both sides' embeddings, built with the object (2·|B| Sommers
-    lookups), and computes each bar class's minimal special cover and D
-    once, on first request.  Bar classes must already have passed
-    ``pair.check``.
+    Holds both sides' embeddings (2·|B| Sommers lookups, the flipped side
+    on first use; ``flip()`` shares both) and computes each bar class's
+    minimal special cover and D once, on first request.  Bar classes must
+    already have passed ``pair.check``.
     """
 
-    def __init__(self, pair: DualPair):
+    def __init__(self, pair: DualPair, side=None, flipped=None):
         self.pair = pair
-        self.side = _Embedding(pair)
-        self.flipped = _Embedding(pair.flip())
+        self.side = side or _Embedding(pair)
+        if flipped is not None:
+            self.flipped = flipped
         self._covers: dict[BarClass, BarClass] = {}
+
+    @cached_property
+    def flipped(self) -> _Embedding:
+        return _Embedding(self.pair.flip())
+
+    def flip(self) -> "_DualityTable":
+        return _DualityTable(self.pair.flip(), self.flipped, self.side)
 
     def cover(self, bc: BarClass) -> BarClass:
         """The unique smallest special bar class above bc."""

@@ -208,7 +208,7 @@ def test_missing_dual_bundle_exits_2(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
+ALL_COMMANDS = pytest.mark.parametrize(
     "command",
     [
         ["dual", "0"],
@@ -223,6 +223,9 @@ def test_missing_dual_bundle_exits_2(capsys, tmp_path, command):
     ],
     ids=lambda command: command[0],
 )
+
+
+@ALL_COMMANDS
 def test_empty_group_type_exits_2(capsys, tmp_path, command):
     doc = json.loads(data.builtin_bundle_text("f4"))
     doc["group"]["type"] = ""
@@ -232,6 +235,30 @@ def test_empty_group_type_exits_2(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [(("d_s",), {}), (("d_s", "0", "1"), None), (("d_s", "A1", "1"), [])],
+    ids=["ds-empty", "ds-null", "ds-list"],
+)
+@ALL_COMMANDS
+def test_broken_dual_bundle_exits_2(capsys, tmp_path, command, path, value):
+    doc = json.loads(data.builtin_bundle_text("f4"))
+    doc["dual_group"] = "F4-partner"
+    main = tmp_path / "f4.json"
+    main.write_text(json.dumps(doc), encoding="utf-8")
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    partner = tmp_path / "partner.json"
+    partner.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "--bundle", str(main), "--dual-bundle", str(partner), *command
+    )
+    assert code == 2
+    assert "Traceback" not in err
 
 
 def test_outputs_match_golden(capsys, bundle_path):

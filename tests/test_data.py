@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitduality import data
-from orbitduality.duality import DualPair
+from orbitduality.duality import DualPair, achar_dual, all_bar_classes, embed, pair_leq
 from orbitduality.errors import BundleValidationError, OrbitDualityError, SchemaError
 from orbitduality.orbits import BundlePoset
 from orbitduality.rootdata import Coweight
@@ -49,21 +50,6 @@ def test_shipped_bundle_validates(f4_bundle):
     assert json.dumps(report.to_dict())
 
 
-def test_validation_computes_refined_duality_once(monkeypatch):
-    calls = []
-    real = data.achar_dual
-
-    def counted(pair, bc):
-        calls.append(bc)
-        return real(pair, bc)
-
-    monkeypatch.setattr(data, "achar_dual", counted)
-    report = data.validate_bundle(data.parse_bundle(data.builtin_bundle_text("f4")))
-    assert report.passed
-    # D on each of the 21 bar classes, and on the dual side at most as often
-    assert 0 < len(calls) <= 42
-
-
 def test_identities_check_reports_non_unique_cover():
     # (0,1) is non-special with two incomparable minimal special covers
     poset = BundlePoset(
@@ -84,6 +70,122 @@ def test_identities_check_reports_non_unique_cover():
     assert result.name == "duality_identities"
     assert not result.passed
     assert "minimal special covers" in result.details
+
+
+def _reference_identities(pair):
+    """The duality_identities check as written before the shared table:
+    every bar class through public embed and achar_dual."""
+    def failed(details):
+        return data.CheckResult("duality_identities", False, details)
+
+    flip = pair.flip()
+    try:
+        embedded, unembed = {}, {}
+        for bc in all_bar_classes(pair.g):
+            img = embedded[bc] = embed(pair, bc)
+            if img in unembed:
+                return failed(
+                    f"embedding collision: {unembed[img]} and {bc} "
+                    f"both map to {img}"
+                )
+            unembed[img] = bc
+        refined = {bc: achar_dual(pair, bc) for bc in embedded}
+        image = dict.fromkeys(refined.values())
+        back = {b: achar_dual(flip, b) for b in image}
+        back_embedded = {b: embed(flip, b) for b in image}
+        for bc, once in refined.items():
+            if embedded[bc][1] != once[0]:
+                return failed(
+                    f"pr1 of the refined dual differs from the Sommers "
+                    f"image at {bc}"
+                )
+            if refined[back[once]] != once:
+                return failed(f"D^3 != D at {bc}")
+        for x in embedded:
+            for y in embedded:
+                if pair_leq(pair, embedded[x], embedded[y]) and not pair_leq(
+                    flip,
+                    back_embedded[refined[y]],
+                    back_embedded[refined[x]],
+                ):
+                    return failed(
+                        f"refined duality not order-reversing on {x} <= {y}"
+                    )
+    except OrbitDualityError as exc:
+        return failed(str(exc))
+    return data.CheckResult(
+        "duality_identities", True, "embedding injective, D^3 = D, pr1∘D = d_S"
+    )
+
+
+def test_identities_check_matches_reference_on_shipped_bundle(f4_pair):
+    result = data._check_duality_identities(f4_pair)
+    assert result.passed
+    assert result == _reference_identities(f4_pair)
+
+
+def test_identities_check_matches_reference_on_d_s_permutations(f4_doc):
+    nontrivial = [(o, c) for o, t in f4_doc["d_s"].items() for c in t if c != "1"]
+    assert len(nontrivial) == 5
+    targets = [f4_doc["d_s"][o][c] for o, c in nontrivial]
+    failing = 0
+    for perm in itertools.permutations(targets):
+        for (o, c), t in zip(nontrivial, perm):
+            f4_doc["d_s"][o][c] = t
+        pair = data.dual_pair(data.parse_bundle(json.dumps(f4_doc)))
+        result = data._check_duality_identities(pair)
+        assert result == _reference_identities(pair), perm
+        failing += not result.passed
+    assert failing == 96
+
+
+def _toy_poset(group_id, ds):
+    """Four orbits 0 < a, b < r with classes 1 and c on r."""
+    return BundlePoset(
+        group_id=group_id,
+        labels=("0", "a", "b", "r"),
+        covers=(("0", "a"), ("0", "b"), ("a", "r"), ("b", "r")),
+        bar_a={"r": ("1", "c")},
+        ds=ds,
+    )
+
+
+INJECTIVE_DS = {
+    ("0", "1"): "r",
+    ("a", "1"): "b",
+    ("b", "1"): "a",
+    ("r", "1"): "0",
+    ("r", "c"): "a",
+}
+MISSING_DS = {k: v for k, v in INJECTIVE_DS.items() if k != ("r", "c")}
+
+
+@pytest.mark.parametrize(
+    "g_ds,gd_ds,fragment",
+    [
+        # the collision is reported before the dual side is tabulated
+        pytest.param(
+            {**INJECTIVE_DS, ("r", "c"): "0"}, MISSING_DS, "embedding collision",
+            id="embedding-collision",
+        ),
+        pytest.param(
+            INJECTIVE_DS, {**INJECTIVE_DS, ("r", "c"): "0"}, "not injective",
+            id="dual-side-not-injective",
+        ),
+        pytest.param(
+            INJECTIVE_DS, MISSING_DS, "no duality entry", id="dual-side-entry-missing"
+        ),
+    ],
+)
+def test_identities_check_matches_reference_on_toy_tables(g_ds, gd_ds, fragment):
+    g, gd = _toy_poset("toy", g_ds), _toy_poset("toy-dual", gd_ds)
+    g.attach_dual(gd)
+    gd.attach_dual(g)
+    pair = DualPair(g, gd)
+    result = data._check_duality_identities(pair)
+    assert result == _reference_identities(pair)
+    assert not result.passed
+    assert fragment in result.details
 
 
 def test_round_trip(f4_bundle):
@@ -256,6 +358,9 @@ def test_schema_errors(f4_doc, mutate, fragment):
     assert fragment in str(err.value)
 
 
+PARAM = ["parameter_sets", 0, "parameters", 0]
+
+
 @pytest.mark.parametrize(
     "path,value",
     [
@@ -272,6 +377,16 @@ def test_schema_errors(f4_doc, mutate, fragment):
         pytest.param(["parameter_sets", 0], "F4(a3)", id="parameter-set-string"),
         pytest.param(["parameter_sets"], 7, id="parameter-sets-int"),
         pytest.param(["closure", 0], ["0", ["A1"]], id="closure-list-label"),
+        # values are stored as given, not converted
+        pytest.param(PARAM + ["rho"], 7, id="rho-int"),
+        pytest.param(PARAM + ["iwahori"], "false", id="iwahori-str"),
+        pytest.param(PARAM + ["iwahori"], 0, id="iwahori-int"),
+        pytest.param(PARAM + ["unitary"], "maybe", id="unitary-str"),
+        pytest.param(PARAM + ["unitary"], 1, id="unitary-int"),
+        pytest.param(["d_s", "A1", "1"], ["F4(a1)"], id="ds-list"),
+        pytest.param(["d_s", "0", "1"], None, id="ds-null"),
+        # a query normalizes class labels, so it could never name this one
+        pytest.param(["bar_a", "F4(a1)", 1], "(1 2)", id="class-with-space"),
     ],
 )
 def test_malformed_records_raise_schema_error(f4_doc, path, value):
@@ -323,6 +438,38 @@ def test_single_field_replacement_raises_only_package_errors(path, value):
         data.validate_bundle(data.parse_bundle(json.dumps(doc)))
     except OrbitDualityError:
         pass
+
+
+PARTNER_DOC = {**json.loads(F4_TEXT), "dual_group": "F4-partner"}
+
+
+@settings(max_examples=400)
+@given(path=st.sampled_from(FIELD_PATHS), value=st.sampled_from(REPLACEMENTS))
+@example(path=("d_s",), value={})
+@example(path=("d_s", "0", "1"), value=None)
+@example(path=("d_s", "A1", "1"), value=[])
+def test_broken_dual_bundle_gives_a_report(path, value):
+    bundle = data.parse_bundle(json.dumps(PARTNER_DOC))
+    doc = json.loads(F4_TEXT)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        dual = data.parse_bundle(json.dumps(doc))
+    except SchemaError:
+        return
+    assert isinstance(data.validate_bundle(bundle, dual), data.ValidationReport)
+
+
+def test_missing_parameter_fields_keep_defaults(f4_doc):
+    record = f4_doc["parameter_sets"][0]["parameters"][0]
+    for key in ("rho", "iwahori", "unitary"):
+        del record[key]
+    x = data.parse_bundle(json.dumps(f4_doc)).parameter_sets[0].params[0]
+    assert (x.rho, x.iwahori, x.unitary) == ("", True, None)
+    record["unitary"] = None
+    assert data.parse_bundle(json.dumps(f4_doc)).parameter_sets[0].params[0] == x
 
 
 def test_malformed_document():

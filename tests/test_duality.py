@@ -205,6 +205,19 @@ def test_validation_lookup_count(sommers_calls):
     assert 0 < len(sommers_calls) <= 2500
 
 
+def test_identities_check_lookup_count(f4_pair, sommers_calls):
+    # one table on both sides, shared with its flip: 2 x 21 lookups
+    assert data._check_duality_identities(f4_pair).passed
+    assert 0 < len(sommers_calls) <= 42
+
+
+def test_validation_lookup_bound(sommers_calls):
+    # the identities check's 42 lookups and the d-based checks' ~360
+    bundle = data.parse_bundle(data.builtin_bundle_text("f4"))
+    assert data.validate_bundle(bundle).passed
+    assert 0 < len(sommers_calls) <= 500
+
+
 def test_check_jiang_lookup_count(f4_pair, f4_params, sommers_calls):
     assert check_jiang(f4_pair, f4_params).passed
     assert 0 < len(sommers_calls) <= 2500
