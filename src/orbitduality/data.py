@@ -466,6 +466,20 @@ def _check_ds_table(bundle, poset, dual_labels):
     return CheckResult("ds_table", True, "total and surjective")
 
 
+def _check_ds_tables(bundle, poset, dual_bundle, dual_poset):
+    """The ds_table check of the bundle, then of a separate dual bundle,
+    whose values must name orbits of the bundle's group; the first
+    failure wins."""
+    dual_labels = dual_poset.labels if dual_poset is not None else None
+    result = _check_ds_table(bundle, poset, dual_labels)
+    if not result.passed or dual_bundle is None:
+        return result
+    dual = _check_ds_table(dual_bundle, dual_poset, poset.labels)
+    if dual.passed:
+        return result
+    return CheckResult("ds_table", False, "dual bundle: " + dual.details)
+
+
 @_check
 def _check_d_duality(poset, dual):
     bad_cube = [
@@ -622,13 +636,12 @@ def validate_bundle(
 ) -> ValidationReport:
     """Run every invariant check and return the full report."""
     poset, dual_poset = _poset_pair(bundle, dual_bundle)
-    dual_labels = dual_poset.labels if dual_poset is not None else None
     checks = {
         c.name: c
         for c in (
             _check_closure_order(bundle, poset),
             _check_bar_classes(poset),
-            _check_ds_table(bundle, poset, dual_labels),
+            _check_ds_tables(bundle, poset, dual_bundle, dual_poset),
             _check_weighted_dynkin(poset),
             _check_dynkin_dims(poset),
             _check_az_links(bundle, poset),

@@ -18,6 +18,7 @@ that one table; nothing is kept between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .duality import (
     BarClass,
@@ -29,7 +30,14 @@ from .duality import (
 )
 from .errors import InconsistentDataError, UnknownLabelError
 from .orbits import NilpotentPoset
-from .rootdata import Coweight, dominant_rep, half_sum, weyl_conjugate
+from .rootdata import (
+    Coweight,
+    coweight_orbit,
+    dominant_rep,
+    half_sum,
+    invariant_form,
+    weyl_conjugate,
+)
 
 
 @dataclass(frozen=True)
@@ -253,9 +261,13 @@ def infl_sum_witness(
     None when no conjugate sums to the target class.  Fixing one side is
     harmless: conjugating the whole sum moves the witness pair inside
     their Weyl orbits.
-    """
-    from .rootdata import coweight_orbit
 
+    The invariant form q of ``invariant_form`` prunes the search: a
+    witness w2 needs q(h_art + w2) = q(h_target), an equation linear in
+    w2, so only the orbit elements that satisfy it are reduced with
+    ``dominant_rep``.  The orbit is walked in the same sorted order
+    either way, so the first hit is the one the unpruned search returns.
+    """
     rs = poset.root_system()
     h1 = poset.weighted_dynkin(orbit_art)
     h2 = poset.weighted_dynkin(orbit_lan)
@@ -263,7 +275,22 @@ def infl_sum_witness(
     if rs is None or h1 is None or h2 is None or ht is None:
         raise UnknownLabelError("missing weighted Dynkin data for the search")
     target_dom = dominant_rep(ht, rs)
-    for w2 in coweight_orbit(h2, rs):
+    orbit = coweight_orbit(h2, rs)
+    # the dot products below would silently truncate a short h1
+    if len(h1.twice) != rs.rank:
+        raise ValueError("coweight dimension mismatch")
+    form = invariant_form(rs)
+    form_h1 = [sum(map(mul, row, h1.twice)) for row in form]
+
+    def q(h: Coweight) -> int:
+        return sum(t * sum(map(mul, row, h.twice)) for t, row in zip(h.twice, form))
+
+    # q(h1 + w2) = q(h1) + 2 B(h1, w2) + q(h2) for every w2 in the orbit,
+    # and a witness has q(h1 + w2) = q(ht)
+    need = q(ht) - q(h1) - q(h2)
+    for w2 in orbit:
+        if 2 * sum(map(mul, form_h1, w2.twice)) != need:
+            continue
         if dominant_rep(h1 + w2, rs) == target_dom:
             return (h1, w2)
     return None

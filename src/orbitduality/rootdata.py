@@ -206,6 +206,20 @@ def positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(pos)
 
 
+@lru_cache(maxsize=None)
+def invariant_form(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of the Weyl-invariant form q(w) = sum over roots b > 0
+    of <b, w>^2, for the doubled coordinates t = 2w: entry [j][k] is
+    sum b_j b_k, so t.M.t = 4 q(w).  W permutes the roots up to sign, so
+    q is constant on every Weyl orbit.
+    """
+    roots = positive_roots(rs)
+    n = rs.rank
+    return tuple(
+        tuple(sum(b[j] * b[k] for b in roots) for k in range(n)) for j in range(n)
+    )
+
+
 def root_pairing(root: tuple[int, ...], w: Coweight) -> int:
     """Twice the pairing of a root (simple-root coordinates) with w."""
     return sum(c * t for c, t in zip(root, w.twice))

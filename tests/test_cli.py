@@ -1,7 +1,13 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_data import FIELD_PATHS, REPLACEMENTS
 
 from orbitduality import cli, data
 
@@ -208,20 +214,19 @@ def test_missing_dual_bundle_exits_2(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+COMMANDS = [
+    ["dual", "0"],
+    ["achar-dual", "0", "1"],
+    ["closure", "0", "A1"],
+    ["special-piece", "0"],
+    ["cuwf", "X1"],
+    ["packet", "F4(a3)"],
+    ["weak-packet", "F4(a3)"],
+    ["verify"],
+    ["list"],
+]
 ALL_COMMANDS = pytest.mark.parametrize(
-    "command",
-    [
-        ["dual", "0"],
-        ["achar-dual", "0", "1"],
-        ["closure", "0", "A1"],
-        ["special-piece", "0"],
-        ["cuwf", "X1"],
-        ["packet", "F4(a3)"],
-        ["weak-packet", "F4(a3)"],
-        ["verify"],
-        ["list"],
-    ],
-    ids=lambda command: command[0],
+    "command", COMMANDS, ids=lambda command: command[0]
 )
 
 
@@ -259,6 +264,29 @@ def test_broken_dual_bundle_exits_2(capsys, tmp_path, command, path, value):
     )
     assert code == 2
     assert "Traceback" not in err
+
+
+@settings(max_examples=200)
+@given(
+    path=st.sampled_from(FIELD_PATHS),
+    value=st.sampled_from(REPLACEMENTS),
+    fmt=st.sampled_from(["text", "json"]),
+    command=st.sampled_from(COMMANDS),
+)
+def test_single_field_replacement_never_prints_a_traceback(path, value, fmt, command):
+    doc = json.loads(data.builtin_bundle_text("f4"))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "f4.json"
+        bundle.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(["--bundle", str(bundle), "--format", fmt, *command])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_outputs_match_golden(capsys, bundle_path):

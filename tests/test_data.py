@@ -511,6 +511,37 @@ def test_explicit_dual_bundle(f4_doc):
     assert arthur_packet(pair, ps) == ["X5", "X13", "X17", "X19", "X20"]
 
 
+@pytest.mark.parametrize(
+    "orbit,cls,value", [("F4(a3)", "(12)", "x"), ("A1", "1", "nope")]
+)
+def test_dual_bundle_ds_values_must_name_main_orbits(f4_doc, orbit, cls, value):
+    f4_doc["dual_group"] = "F4-partner"
+    bundle = data.parse_bundle(json.dumps(f4_doc))
+    f4_doc["d_s"][orbit][cls] = value
+    report = data.validate_bundle(bundle, data.parse_bundle(json.dumps(f4_doc)))
+    assert not report.passed
+    names = [c.name for c in report.checks]
+    assert names.count("ds_table") == 1
+    ds = {c.name: c for c in report.checks}["ds_table"]
+    assert not ds.passed
+    bad = f"({orbit}, {cls}) -> {value}"
+    assert ds.details == "dual bundle: values outside dual group: " + bad
+
+
+def test_main_ds_table_failure_wins_over_dual_bundle(f4_doc):
+    f4_doc["dual_group"] = "F4-partner"
+    partner = json.loads(json.dumps(f4_doc))
+    partner["d_s"]["F4(a3)"]["(12)"] = "x"
+    del f4_doc["d_s"]["A1"]["1"]
+    report = data.validate_bundle(
+        data.parse_bundle(json.dumps(f4_doc)),
+        data.parse_bundle(json.dumps(partner)),
+    )
+    ds = {c.name: c for c in report.checks}["ds_table"]
+    assert not ds.passed
+    assert ds.details.startswith("not total: missing (A1, 1)")
+
+
 def test_non_self_dual_without_dual_skips_duality_checks(f4_doc):
     f4_doc["dual_group"] = "F4-partner"
     bundle = data.parse_bundle(json.dumps(f4_doc))

@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from orbitduality import data
+from orbitduality import data, packets
 from orbitduality.duality import DualPair, achar_dual, embed, pair_leq
 from orbitduality.errors import InconsistentDataError, UnknownLabelError
 from orbitduality.orbits import BundlePoset
@@ -23,7 +24,7 @@ from orbitduality.packets import (
     natural_key,
     weak_packet,
 )
-from orbitduality.rootdata import Coweight
+from orbitduality.rootdata import Coweight, coweight_orbit, dominant_rep
 
 ARTHUR = ["X5", "X13", "X17", "X19", "X20"]
 WEAK = ["X5", "X7", "X8", "X9", "X11", "X13", "X15", "X17", "X18", "X19", "X20"]
@@ -224,6 +225,65 @@ def test_packet_queries_match_golden_answers(f4_pair, f4_params):
         for x in f4_params:
             answer = _encode(query(f4_pair, f4_params, x))
             assert answer == golden[kind][x.id], (kind, x.id)
+
+
+def _encode_witness(found):
+    return None if found is None else [str(h) for h in found]
+
+
+def test_infl_sum_queries_match_golden_answers(f4_pair, f4_params, monkeypatch):
+    golden = json.loads(GOLDEN_LIB.read_text(encoding="utf-8"))
+    g, target = f4_pair.g, f4_params.ic_orbit
+    assert len(golden["infl_sum_witness"]) == len(golden["check_infl_sum"]) == 256
+    calls = []
+
+    def counting_dominant_rep(w, rs):
+        calls.append(w)
+        return dominant_rep(w, rs)
+
+    monkeypatch.setattr(packets, "dominant_rep", counting_dominant_rep)
+    for key, want in golden["infl_sum_witness"].items():
+        art, lan = key.split("|")
+        assert _encode_witness(infl_sum_witness(g, art, lan, target)) == want, key
+    # one call for the target, then one per orbit element the form lets through
+    assert len(calls) <= 312
+    for key, want in golden["check_infl_sum"].items():
+        art, lan = key.split("|")
+        h_art, h_lan = g.weighted_dynkin(art), g.weighted_dynkin(lan)
+        assert check_infl_sum(g, h_art, h_lan, target) is want, key
+
+
+def _unpruned_witness(poset, orbit_art, orbit_lan, target):
+    rs = poset.root_system()
+    h1 = poset.weighted_dynkin(orbit_art)
+    target_dom = dominant_rep(poset.weighted_dynkin(target), rs)
+    for w2 in coweight_orbit(poset.weighted_dynkin(orbit_lan), rs):
+        if dominant_rep(h1 + w2, rs) == target_dom:
+            return (h1, w2)
+    return None
+
+
+def test_infl_sum_witness_matches_unpruned_search(f4_pair):
+    g = f4_pair.g
+    pairs = list(itertools.product(g.labels, repeat=2))[::51]
+    found = 0
+    for target in g.labels:
+        for art, lan in pairs:
+            want = _unpruned_witness(g, art, lan, target)
+            assert infl_sum_witness(g, art, lan, target) == want, (art, lan, target)
+            found += want is not None
+    assert found > 0
+
+
+def test_conjectural_infl_char_pairs_have_witnesses(f4_bundle, f4_pair):
+    g = f4_pair.g
+    (ps,) = f4_bundle.parameter_sets
+    pairs = f4_bundle.conjectural["infl_char_pairs"]
+    assert pairs
+    for a, b in pairs:
+        found = infl_sum_witness(g, a, b, ps.ic_orbit)
+        assert found is not None, (a, b)
+        assert check_infl_sum(g, *found, ps.ic_orbit), (a, b)
 
 
 # -- one table per query against per-parameter calls ---------------------------

@@ -1,14 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orbitduality.rootdata import (
     Coweight,
     coweight_orbit,
     dominant_rep,
     half_sum,
+    invariant_form,
     positive_roots,
+    root_pairing,
     root_system,
     weyl_conjugate,
 )
@@ -116,6 +118,31 @@ def test_orbit_has_one_dominant_element(coords):
     dominant = [v for v in orbit if all(c >= 0 for c in v.twice)]
     assert len(dominant) == 1
     assert dominant[0] == dominant_rep(w, F4)
+
+
+@pytest.mark.parametrize(
+    "label,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F4", 4), ("G2", 2)]
+)
+@settings(max_examples=20)
+@given(coords=st.data())
+def test_invariant_form_is_constant_on_weyl_orbits(label, rank, coords):
+    rs = root_system(label, rank)
+    twice = coords.draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    w = Coweight(tuple(twice))
+    form = invariant_form(rs)
+
+    def q(v):
+        return sum(root_pairing(b, v) ** 2 for b in positive_roots(rs))
+
+    def gram(v):
+        return sum(
+            v.twice[j] * form[j][k] * v.twice[k]
+            for j in range(rank)
+            for k in range(rank)
+        )
+
+    assert gram(w) == q(w)
+    assert {gram(v) for v in coweight_orbit(w, rs)} == {q(w)}
 
 
 def test_half_sum_exact():
