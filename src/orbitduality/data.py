@@ -374,14 +374,15 @@ def _brief(items, limit=4) -> str:
 
 
 def _check(fn):
-    """Make fn a validator check named after it: a package error raised
-    while it reads the data fails that check instead of escaping."""
+    """Make fn, which returns (passed, details), a validator check named
+    after it: a package error raised while it reads the data fails that
+    check instead of escaping."""
     name = fn.__name__.removeprefix("_check_")
 
     @wraps(fn)
     def run(*args):
         try:
-            return fn(*args)
+            return CheckResult(name, *fn(*args))
         except OrbitDualityError as exc:
             return CheckResult(name, False, str(exc))
 
@@ -398,31 +399,23 @@ def _check_closure_order(bundle, poset):
                     f"antisymmetry violated: {a} <= {b} and {b} <= {a}"
                 )
     if problems:
-        return CheckResult("closure_order", False, _brief(problems))
+        return False, _brief(problems)
     zero = poset.zero()
     reg = poset.regular()
     if zero != "0":
-        return CheckResult(
-            "closure_order", False, f"minimum orbit is {zero!r}, expected '0'"
-        )
+        return False, f"minimum orbit is {zero!r}, expected '0'"
     for lab, role in ((zero, "zero"), (reg, "regular")):
         if not poset.special_flags.get(lab, False):
-            return CheckResult(
-                "closure_order", False, f"{role} orbit {lab} is not flagged special"
-            )
-    return CheckResult(
-        "closure_order", True, f"minimum {zero}, maximum {reg}"
-    )
+            return False, f"{role} orbit {lab} is not flagged special"
+    return True, f"minimum {zero}, maximum {reg}"
 
 
 @_check
 def _check_bar_classes(poset):
     for label in poset.labels:
         if "1" not in poset.bar_classes(label):
-            return CheckResult(
-                "bar_classes", False, f"orbit {label} lacks the trivial class"
-            )
-    return CheckResult("bar_classes", True, "")
+            return False, f"orbit {label} lacks the trivial class"
+    return True, ""
 
 
 @_check
@@ -433,9 +426,7 @@ def _check_ds_table(bundle, poset, dual_labels):
             if cls not in bundle.d_s.get(label, {}):
                 missing.append(f"({label}, {cls})")
     if missing:
-        return CheckResult(
-            "ds_table", False, "not total: missing " + _brief(missing)
-        )
+        return False, "not total: missing " + _brief(missing)
     extra = [
         f"({o}, {c})"
         for o, table in bundle.d_s.items()
@@ -443,9 +434,7 @@ def _check_ds_table(bundle, poset, dual_labels):
         if c not in poset.bar_classes(o)
     ]
     if extra:
-        return CheckResult(
-            "ds_table", False, "entries for undeclared classes " + _brief(extra)
-        )
+        return False, "entries for undeclared classes " + _brief(extra)
     if dual_labels is not None:
         bad = [
             f"({o}, {c}) -> {t}"
@@ -454,16 +443,12 @@ def _check_ds_table(bundle, poset, dual_labels):
             if t not in dual_labels
         ]
         if bad:
-            return CheckResult(
-                "ds_table", False, "values outside dual group: " + _brief(bad)
-            )
+            return False, "values outside dual group: " + _brief(bad)
         image = {t for table in bundle.d_s.values() for t in table.values()}
         missed = sorted(set(dual_labels) - image)
         if missed:
-            return CheckResult(
-                "ds_table", False, "not surjective, missing " + _brief(missed)
-            )
-    return CheckResult("ds_table", True, "total and surjective")
+            return False, "not surjective, missing " + _brief(missed)
+    return True, "total and surjective"
 
 
 def _check_ds_tables(bundle, poset, dual_bundle, dual_poset):
@@ -487,9 +472,7 @@ def _check_d_duality(poset, dual):
         if poset.d(dual.d(poset.d(a))) != poset.d(a)
     ]
     if bad_cube:
-        return CheckResult(
-            "d_duality", False, "d^3 != d at " + _brief(bad_cube)
-        )
+        return False, "d^3 != d at " + _brief(bad_cube)
     bad_rev = [
         f"{a} <= {b}"
         for a in poset.labels
@@ -497,10 +480,8 @@ def _check_d_duality(poset, dual):
         if poset.leq(a, b) and not dual.leq(poset.d(b), poset.d(a))
     ]
     if bad_rev:
-        return CheckResult(
-            "d_duality", False, "order reversal fails at " + _brief(bad_rev)
-        )
-    return CheckResult("d_duality", True, "d^3 = d and d order-reversing")
+        return False, "order reversal fails at " + _brief(bad_rev)
+    return True, "d^3 = d and d order-reversing"
 
 
 @_check
@@ -510,12 +491,8 @@ def _check_special_flags(poset):
         if poset.is_special(a) != poset.special_flags.get(a, False)
     ]
     if bad:
-        return CheckResult(
-            "special_flags",
-            False,
-            "flags disagree with d∘d fixed points at " + _brief(bad),
-        )
-    return CheckResult("special_flags", True, "")
+        return False, "flags disagree with d∘d fixed points at " + _brief(bad)
+    return True, ""
 
 
 @_check
@@ -528,16 +505,14 @@ def _check_weighted_dynkin(poset):
         coords = [c // 2 for c in w.twice]
         if any(c not in (0, 1, 2) for c in coords) or not w.is_integral:
             bad.append(f"{label}: coordinates outside {{0,1,2}}")
-    if bad:
-        return CheckResult("weighted_dynkin", False, _brief(bad))
-    return CheckResult("weighted_dynkin", True, "")
+    return not bad, _brief(bad)
 
 
 @_check
 def _check_dynkin_dims(poset):
     rs = poset.root_system()
     if rs is None:
-        return CheckResult("dynkin_dims", True, "skipped: no root system")
+        return True, "skipped: no root system"
     pos = positive_roots(rs)
     dim_g = 2 * len(pos) + rs.rank
     bad = []
@@ -551,9 +526,7 @@ def _check_dynkin_dims(poset):
         expect = dim_g - (2 * g0 + rs.rank) - g1
         if expect != d:
             bad.append(f"{label}: dim {d} vs {expect} from weighted Dynkin")
-    if bad:
-        return CheckResult("dynkin_dims", False, _brief(bad))
-    return CheckResult("dynkin_dims", True, "")
+    return not bad, _brief(bad)
 
 
 @_check
@@ -562,22 +535,14 @@ def _check_az_links(bundle, poset):
         ids = {x.id for x in ps.params}
         for x in ps.params:
             if x.az_partner not in ids:
-                return CheckResult(
-                    "az_links",
-                    False,
-                    f"{x.id} links to missing partner {x.az_partner}",
-                )
+                return False, f"{x.id} links to missing partner {x.az_partner}"
         for x in ps.params:
             if ps.get(x.az_partner).az_partner != x.id:
-                return CheckResult(
-                    "az_links",
-                    False,
+                return False, (
                     f"involution broken at {x.id} -> {x.az_partner} -> "
-                    f"{ps.get(x.az_partner).az_partner}",
+                    f"{ps.get(x.az_partner).az_partner}"
                 )
-    return CheckResult(
-        "az_links", True, "involution; ic_orbit shared per parameter set"
-    )
+    return True, "involution; ic_orbit shared per parameter set"
 
 
 @_check
@@ -587,48 +552,39 @@ def _check_parameter_orbits(bundle, poset):
         for x in ps.params:
             if not poset.leq(x.n_orbit, ps.ic_orbit):
                 bad.append(f"{x.id}: {x.n_orbit} not below {ps.ic_orbit}")
-    if bad:
-        return CheckResult("parameter_orbits", False, _brief(bad))
-    return CheckResult("parameter_orbits", True, "")
+    return not bad, _brief(bad)
 
 
 @_check
-def _check_duality_identities(pair: DualPair) -> CheckResult:
+def _check_duality_identities(pair: DualPair):
     """Embedding injective, pr1∘D = d_S, D^3 = D and D order-reversing.
 
     One refined-duality table and its flip answer every question, D on the
     dual side only over the image of D, so each law is a table lookup.
     """
-    def failed(details):
-        return CheckResult("duality_identities", False, details)
-
     table = _DualityTable(pair)
-    embedded = table.side.pairs
-    for bc, img in embedded.items():
-        first = table.side.hits[img][0]
-        if first != bc:
-            return failed(
-                f"embedding collision: {first} and {bc} both map to {img}"
-            )
+    collision = table.collision()
+    if collision is not None:
+        first, bc, img = collision
+        return False, f"embedding collision: {first} and {bc} both map to {img}"
+    embedded = table.pairs
     refined = {bc: table.dual(bc) for bc in embedded}
     flip = table.flip()
     back = {b: flip.dual(b) for b in dict.fromkeys(refined.values())}
     for bc, once in refined.items():
         if embedded[bc][1] != once[0]:
-            return failed(
+            return False, (
                 f"pr1 of the refined dual differs from the Sommers image at {bc}"
             )
         if refined[back[once]] != once:
-            return failed(f"D^3 != D at {bc}")
+            return False, f"D^3 != D at {bc}"
     for x in embedded:
         for y in embedded:
             if pair_leq(pair, embedded[x], embedded[y]) and not pair_leq(
-                flip.pair, flip.side.pairs[refined[y]], flip.side.pairs[refined[x]]
+                flip.pair, flip.pairs[refined[y]], flip.pairs[refined[x]]
             ):
-                return failed(f"refined duality not order-reversing on {x} <= {y}")
-    return CheckResult(
-        "duality_identities", True, "embedding injective, D^3 = D, pr1∘D = d_S"
-    )
+                return False, f"refined duality not order-reversing on {x} <= {y}"
+    return True, "embedding injective, D^3 = D, pr1∘D = d_S"
 
 
 def validate_bundle(

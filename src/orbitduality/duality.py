@@ -8,17 +8,19 @@ of its dual group; embedding a bar class as the pair
 refined duality, with a detour through the minimal special cover when
 the flipped pair is not itself in the image of the dual embedding.
 
-One ``achar_dual`` or ``min_special_cover`` call tabulates the embedding
-of each side once, 2·|B| Sommers-table lookups for |B| bar classes, and
-answers every specialness, cover and inverse question from those tables;
-a packet query asks all its questions of one such table.  The table's
-``flip()`` is the table on the flipped pair over the same two embeddings,
-so validation checks ``D^3 = D`` and order reversal on both sides for
-the same 2·|B| lookups.  Nothing is kept between calls.
+One private ``_DualityTable`` per call tabulates the embedding of its
+side, |B| Sommers-table lookups for |B| bar classes on first use, and its
+``flip()`` is the table on the flipped pair, built once and pointing back,
+so both sides cost 2·|B| lookups.  Everything else reads the table through
+its methods: ``pairs``, ``unembed``, ``collision``, ``cover`` and ``dual``.
+``achar_dual``, ``min_special_cover``, ``is_special_pair``, the packet
+queries and the validator's identities check each build one; nothing is
+kept between calls.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,8 +51,11 @@ class DualPair:
         return DualPair(self.gd, self.g)
 
     def check(self, bc: BarClass) -> BarClass:
-        orbit, cls = bc
-        cls = normalize_class(cls)
+        try:
+            orbit, cls = bc
+            cls = normalize_class(cls)
+        except (AttributeError, TypeError, ValueError):
+            raise UnknownLabelError(f"{bc!r} is not an (orbit, class) pair") from None
         self.g.check_label(orbit)
         if cls not in self.g.bar_classes(orbit):
             raise UnknownLabelError(
@@ -87,73 +92,83 @@ def _flip_pair(p: OrbitPair) -> OrbitPair:
     return (p[1], p[0])
 
 
-class _Embedding:
-    """One side's embedding, tabulated for the duration of one call.
-
-    ``pairs`` maps every bar class of ``pair.g`` to its embedded pair, in
-    ``all_bar_classes`` order; ``hits`` maps each embedded pair back to
-    every bar class that lands on it.  Building it costs |B| Sommers
-    lookups; every later question about the side reads these dicts.
-    """
-
-    def __init__(self, pair: DualPair):
-        self.pair = pair
-        self.pairs = {
-            (o, c): (o, pair.g.sommers(o, c)) for o, c in all_bar_classes(pair.g)
-        }
-        self.hits: dict[OrbitPair, list[BarClass]] = {}
-        for bc, p in self.pairs.items():
-            self.hits.setdefault(p, []).append(bc)
-
-
-def _unembed(side: _Embedding, target: OrbitPair) -> BarClass | None:
-    """Inverse of embed on the table's side, None when not hit."""
-    hits = side.hits.get(target, ())
-    if len(hits) > 1:
-        raise InconsistentDataError(
-            f"embedding of {side.pair.g.group_id} is not injective at {target}"
-        )
-    return hits[0] if hits else None
-
-
 def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
     """Whether the flipped embedded pair lies in the dual embedding image."""
     target = _flip_pair(embed(pair, bc))
-    return _unembed(_Embedding(pair.flip()), target) is not None
+    return _DualityTable(pair.flip()).unembed(target) is not None
 
 
 class _DualityTable:
     """Refined duality on one pair, tabulated for the duration of one call.
 
-    Holds both sides' embeddings (2·|B| Sommers lookups, the flipped side
-    on first use; ``flip()`` shares both) and computes each bar class's
-    minimal special cover and D once, on first request.  Bar classes must
-    already have passed ``pair.check``.
+    ``pairs`` maps every bar class of ``pair.g`` to its embedded pair, in
+    ``all_bar_classes`` order, |B| Sommers lookups on first use.  ``flip()``
+    is the table on the flipped pair, built once and pointing back here, so
+    the two sides cost 2·|B| lookups in all.  Each bar class's minimal
+    special cover and D are computed once, on first request; bar classes
+    must already have passed ``pair.check``.
     """
 
-    def __init__(self, pair: DualPair, side=None, flipped=None):
+    def __init__(self, pair: DualPair):
         self.pair = pair
-        self.side = side or _Embedding(pair)
-        if flipped is not None:
-            self.flipped = flipped
+        self._flip: _DualityTable | None = None
+        self._back: weakref.ref | None = None
         self._covers: dict[BarClass, BarClass] = {}
 
     @cached_property
-    def flipped(self) -> _Embedding:
-        return _Embedding(self.pair.flip())
+    def pairs(self) -> dict[BarClass, OrbitPair]:
+        g = self.pair.g
+        return {(o, c): (o, g.sommers(o, c)) for o, c in all_bar_classes(g)}
+
+    @cached_property
+    def _hits(self) -> dict[OrbitPair, list[BarClass]]:
+        hits: dict[OrbitPair, list[BarClass]] = {}
+        for bc, p in self.pairs.items():
+            hits.setdefault(p, []).append(bc)
+        return hits
 
     def flip(self) -> "_DualityTable":
-        return _DualityTable(self.pair.flip(), self.flipped, self.side)
+        """The table on the flipped pair, built once.  It points back here
+        through a weak reference: a cycle between the two would leave every
+        call's tables to the cyclic garbage collector."""
+        flip = self._flip or (self._back and self._back())
+        if flip is None:
+            flip = self._flip = _DualityTable(self.pair.flip())
+            flip._back = weakref.ref(self)
+        return flip
+
+    def unembed(self, target: OrbitPair) -> BarClass | None:
+        """Inverse of embed on this side, None when not hit."""
+        hits = self._hits.get(target, ())
+        if len(hits) > 1:
+            raise InconsistentDataError(
+                f"embedding of {self.pair.g.group_id} is not injective at {target}"
+            )
+        return hits[0] if hits else None
+
+    def collision(self) -> tuple[BarClass, BarClass, OrbitPair] | None:
+        """The first bar class that lands on an earlier one's pair, that
+        earlier one and the pair; None when the embedding is injective.
+        Classes are embedded in order, so a collision is reported before a
+        later class's missing table entry; a full walk becomes ``pairs``."""
+        g, seen = self.pair.g, {}
+        for o, c in all_bar_classes(g):
+            p = (o, g.sommers(o, c))
+            if p in seen:
+                return seen[p], (o, c), p
+            seen[p] = (o, c)
+        self.pairs = {bc: p for p, bc in seen.items()}
+        return None
 
     def cover(self, bc: BarClass) -> BarClass:
         """The unique smallest special bar class above bc."""
         if bc not in self._covers:
-            pair, pairs = self.pair, self.side.pairs
+            pair, pairs, flip = self.pair, self.pairs, self.flip()
             here = pairs[bc]
             above = [
                 (other, p)
                 for other, p in pairs.items()
-                if _unembed(self.flipped, _flip_pair(p)) is not None
+                if flip.unembed(_flip_pair(p)) is not None
                 and pair_leq(pair, here, p)
             ]
             minima = [
@@ -168,10 +183,8 @@ class _DualityTable:
         return self._covers[bc]
 
     def dual(self, bc: BarClass) -> BarClass:
-        """D(bc): embed the cover, flip, unembed.  A cover is special, so
-        its flipped pair has exactly one preimage in the flipped table."""
-        target = _flip_pair(self.side.pairs[self.cover(bc)])
-        return self.flipped.hits[target][0]
+        """D(bc): embed the cover, flip, unembed."""
+        return self.flip().unembed(_flip_pair(self.pairs[self.cover(bc)]))
 
 
 def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:

@@ -10,9 +10,12 @@ packet notions are sublevel sets of that invariant and of its coarse
 first projection.
 
 One packet query (``arthur_packet``, ``weak_packet`` or ``check_jiang``)
-tabulates the refined duality once, 2·|B| Sommers-table lookups for |B|
-bar classes, and reads the bound and every parameter's invariant from
-that one table; nothing is kept between calls.
+builds one refined-duality table on ``pair.flip()``, 2·|B| Sommers-table
+lookups for |B| bar classes, and reads the bound and every parameter's
+invariant from it: each invariant checks its bar class, then asks the
+table for ``dual``; the g-side embedding is the flipped table's
+``pairs``.  The table tabulates on first use, so a bad label is reported
+before a bad table.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from operator import mul
 from .duality import (
     BarClass,
     DualPair,
-    OrbitPair,
     _DualityTable,
     achar_dual,
     pair_leq,
@@ -113,42 +115,22 @@ def geometric_wf(pair: DualPair, ps: ParameterSet, x: Parameter) -> str:
     return cuwf(pair, ps, x)[0]
 
 
-class _Wavefronts:
-    """The wavefront invariants of one packet query, from one table.
-
-    The refined duality on ``pair.flip()`` is tabulated on the first
-    question; the bound D(ic_orbit, 1) and every parameter's cuwf are
-    read from it and embedded on the g side from the same table.  Each
-    question checks its bar class first and is answered when asked, so
-    corrupt data raises what the per-parameter calls would, in order.
-    """
-
-    def __init__(self, pair: DualPair, ps: ParameterSet):
-        self.pair, self.ps, self.flip = pair, ps, pair.flip()
-        self._table: _DualityTable | None = None
-
-    def _dual(self, orbit: str) -> BarClass:
-        bc = self.flip.check((orbit, "1"))
-        if self._table is None:
-            self._table = _DualityTable(self.flip)
-        return self._table.dual(bc)
-
-    def embed(self, bc: BarClass) -> OrbitPair:
-        # the table is on pair.flip(), so its flipped side is pair.g
-        return self._table.flipped.pairs[bc]
-
-    def bound(self) -> OrbitPair:
-        return self.embed(self._dual(self.ps.ic_orbit))
-
-    def cuwf(self, x: Parameter) -> BarClass:
-        return self._dual(az_dual(self.ps, x).n_orbit)
+def _wavefront(table: _DualityTable, orbit: str) -> BarClass:
+    """D(orbit, 1) from a table on ``pair.flip()``, the bar class checked
+    first, so a bad label is reported before anything is tabulated."""
+    return table.dual(table.pair.check((orbit, "1")))
 
 
-def _arthur_packet(wf: _Wavefronts) -> list[str]:
-    pair, ps = wf.pair, wf.ps
-    bound = wf.bound()
+def _arthur_packet(
+    pair: DualPair, ps: ParameterSet, table: _DualityTable
+) -> list[str]:
+    ic_dual = _wavefront(table, ps.ic_orbit)
+    embedded = table.flip().pairs  # the g side, tabulated by that call
+    bound = embedded[ic_dual]
     by_wavefront = {
-        x.id for x in ps if pair_leq(pair, wf.embed(wf.cuwf(x)), bound)
+        x.id
+        for x in ps
+        if pair_leq(pair, embedded[_wavefront(table, az_dual(ps, x).n_orbit)], bound)
     }
     by_tempered_dual = {x.id for x in ps if is_tempered(ps, az_dual(ps, x))}
     if by_wavefront != by_tempered_dual:
@@ -164,16 +146,20 @@ def arthur_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     """Parameters whose wavefront invariant is below the dual of the
     infinitesimal-character orbit; provably the same set as the
     parameters with tempered partners, and checked against it."""
-    return _arthur_packet(_Wavefronts(pair, ps))
+    return _arthur_packet(pair, ps, _DualityTable(pair.flip()))
 
 
 def weak_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     """Parameters whose coarse wavefront orbit is below d(ic_orbit);
     provably the parameters whose partner orbit lies in the special piece
     of the infinitesimal-character orbit, and checked against it."""
-    wf = _Wavefronts(pair, ps)
+    table = _DualityTable(pair.flip())
     bound = pair.gd.d(ps.ic_orbit)
-    by_wavefront = {x.id for x in ps if pair.g.leq(wf.cuwf(x)[0], bound)}
+    by_wavefront = {
+        x.id
+        for x in ps
+        if pair.g.leq(_wavefront(table, az_dual(ps, x).n_orbit)[0], bound)
+    }
     piece = set(pair.gd.special_piece(ps.ic_orbit))
     by_piece = {x.id for x in ps if az_dual(ps, x).n_orbit in piece}
     if by_wavefront != by_piece:
@@ -218,17 +204,18 @@ class JiangReport:
 def check_jiang(pair: DualPair, ps: ParameterSet) -> JiangReport:
     """Every packet member's coarse wavefront orbit equals d(ic_orbit),
     and the refined lower bound holds across the whole parameter set."""
-    wf = _Wavefronts(pair, ps)
+    table = _DualityTable(pair.flip())
     d_ic = pair.gd.d(ps.ic_orbit)
     members = []
-    for pid in _arthur_packet(wf):
-        orbit = wf.cuwf(ps.get(pid))[0]
+    for pid in _arthur_packet(pair, ps, table):
+        orbit = _wavefront(table, az_dual(ps, ps.get(pid)).n_orbit)[0]
         members.append((pid, orbit, orbit == d_ic))
-    bound = wf.bound()
+    embedded = table.flip().pairs  # the g side
+    bound = embedded[_wavefront(table, ps.ic_orbit)]
     lower = []
     for x in sorted(ps, key=lambda x: natural_key(x.id)):
-        holds = pair_leq(pair, bound, wf.embed(wf.cuwf(x)))
-        lower.append((x.id, holds))
+        wf = embedded[_wavefront(table, az_dual(ps, x).n_orbit)]
+        lower.append((x.id, pair_leq(pair, bound, wf)))
     return JiangReport(ps.ic_orbit, d_ic, tuple(members), tuple(lower))
 
 

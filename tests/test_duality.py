@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -245,3 +246,24 @@ def test_unknown_bar_class_raises_before_any_lookup(f4_pair, sommers_calls):
         with pytest.raises(UnknownLabelError):
             fn(f4_pair, ("F4(a3)", "(13)"))
     assert sommers_calls == []
+
+
+def test_malformed_bar_class_raises_unknown_label(f4_pair):
+    for fn in (achar_dual, min_special_cover, is_special_pair, embed, sommers_dual):
+        for bc in (("B2", 1), ("B2", None), ("B2",)):
+            with pytest.raises(UnknownLabelError):
+                fn(f4_pair, bc)
+
+
+def test_duality_tables_leave_no_reference_cycle(f4_pair, f4_params):
+    # a table and its flip must be freed by reference counting, not left
+    # to the cyclic garbage collector after every call
+    gc.collect()
+    gc.disable()
+    try:
+        achar_dual(f4_pair, ("B2", "1"))
+        check_jiang(f4_pair, f4_params)
+        assert data._check_duality_identities(f4_pair).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

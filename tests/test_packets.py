@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from orbitduality.packets import (
     weak_packet,
 )
 from orbitduality.rootdata import Coweight, coweight_orbit, dominant_rep
+from test_data import _reference_identities
 
 ARTHUR = ["X5", "X13", "X17", "X19", "X20"]
 WEAK = ["X5", "X7", "X8", "X9", "X11", "X13", "X15", "X17", "X18", "X19", "X20"]
@@ -379,3 +381,45 @@ def test_packet_queries_match_per_parameter_reference(f4_doc, name):
                 pair.flip(), (az_dual(ps, x).n_orbit, "1")
             )
         )
+
+
+def test_seeded_d_s_corruptions_match_references(f4_doc):
+    rng = random.Random(20221001)
+    entries = [(o, c) for o, table in f4_doc["d_s"].items() for c in table]
+    labels = [rec["label"] for rec in f4_doc["orbits"]]
+    text = json.dumps(f4_doc)
+    outcomes = set()
+    for _ in range(60):
+        doc = json.loads(text)
+        for orbit, cls in rng.sample(entries, rng.randint(1, 6)):
+            doc["d_s"][orbit][cls] = rng.choice(labels)
+        if rng.random() < 0.25:
+            orbit, cls = rng.choice(entries)
+            del doc["d_s"][orbit][cls]
+        bundle = data.parse_bundle(json.dumps(doc))
+        pair = data.dual_pair(bundle)
+        ps = data.parameter_set(bundle, "F4(a3)")
+        for query, reference in (
+            (arthur_packet, _ref_arthur_packet),
+            (weak_packet, _ref_weak_packet),
+            (check_jiang, _ref_check_jiang),
+        ):
+            got = _outcome(query, pair, ps)
+            assert got == _outcome(reference, pair, ps), (doc["d_s"], query)
+            outcomes.add(got[0])
+        for x in ps:
+            assert _outcome(cuwf, pair, ps, x) == _outcome(
+                lambda: achar_dual(pair.flip(), (az_dual(ps, x).n_orbit, "1"))
+            ), (doc["d_s"], x.id)
+        result = data._check_duality_identities(pair)
+        assert result == _reference_identities(pair), doc["d_s"]
+        outcomes.add(result.details.partition(":")[0])
+    # the draws reach every kind of answer both sides give
+    assert outcomes >= {
+        "ok",
+        "InconsistentDataError",
+        "NonUniqueCoverError",
+        "MissingTableError",
+        "embedding collision",
+        "embedding injective, D^3 = D, pr1∘D = d_S",
+    }
