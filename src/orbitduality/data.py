@@ -390,7 +390,7 @@ def _check(fn):
 
 
 @_check
-def _check_closure_order(bundle, poset):
+def _check_closure_order(poset):
     problems = []
     for a in poset.labels:
         for b in poset.labels:
@@ -530,7 +530,7 @@ def _check_dynkin_dims(poset):
 
 
 @_check
-def _check_az_links(bundle, poset):
+def _check_az_links(bundle):
     for ps in bundle.parameter_sets:
         ids = {x.id for x in ps.params}
         for x in ps.params:
@@ -595,12 +595,12 @@ def validate_bundle(
     checks = {
         c.name: c
         for c in (
-            _check_closure_order(bundle, poset),
+            _check_closure_order(poset),
             _check_bar_classes(poset),
             _check_ds_tables(bundle, poset, dual_bundle, dual_poset),
             _check_weighted_dynkin(poset),
             _check_dynkin_dims(poset),
-            _check_az_links(bundle, poset),
+            _check_az_links(bundle),
             _check_parameter_orbits(bundle, poset),
         )
     }

@@ -30,7 +30,7 @@ from .errors import (
     NonUniqueCoverError,
     UnknownLabelError,
 )
-from .orbits import NilpotentPoset
+from .orbits import NilpotentPoset, _least
 
 BarClass = tuple[str, str]  # (orbit label, class label)
 OrbitPair = tuple[str, str]  # (orbit in G, orbit in the dual group)
@@ -166,14 +166,12 @@ class _DualityTable:
             pair, pairs, flip = self.pair, self.pairs, self.flip()
             here = pairs[bc]
             above = [
-                (other, p)
+                other
                 for other, p in pairs.items()
                 if flip.unembed(_flip_pair(p)) is not None
                 and pair_leq(pair, here, p)
             ]
-            minima = [
-                m for m, p in above if all(pair_leq(pair, p, q) for _, q in above)
-            ]
+            minima = _least(above, lambda x, y: pair_leq(pair, pairs[x], pairs[y]))
             if len(minima) != 1:
                 raise NonUniqueCoverError(
                     f"bar class {bc} of {pair.g.group_id} has "

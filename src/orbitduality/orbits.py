@@ -1,6 +1,11 @@
-"""Nilpotent-orbit posets: classical families from partitions, exceptional
-groups from bundled tables, and the order-reversing duality between a
-poset and its dual-group partner.
+"""Nilpotent-orbit posets and the order-reversing duality between a poset
+and its dual-group partner.
+
+There is one table-backed poset, ``NilpotentPoset``: the closure order,
+bar classes and Sommers table (whose trivial-class entries are the duality
+map ``d``) are filled once by the constructor and only read back after.
+``ClassicalPoset`` fills them from partitions, ``BundlePoset`` from a
+data bundle.
 
 Type D partitions with all parts even correspond to two orbits; they are
 decorated ``I``/``II``, treated as incomparable to each other, with
@@ -41,47 +46,71 @@ def parse_partition_label(label: str) -> tuple[pt.Partition, str]:
 
 
 class NilpotentPoset:
-    """Shared behaviour: closure queries, duality-derived notions.
+    """One orbit poset, read from tables its constructor fills once.
 
-    Subclasses provide ``labels``, ``leq``, ``d`` (dual-side label),
-    ``dual``, ``bar_classes`` and ``sommers``.
+    ``order`` is the closure order as a set of (lower, upper) label pairs,
+    reflexive and transitive; ``bar_a`` maps an orbit to its bar classes
+    (the trivial class ``"1"`` alone when absent); ``ds`` is the Sommers
+    table, mapping (orbit label, class label) to a dual-group orbit label,
+    and the duality map ``d`` is its trivial-class entry.  Subclasses fill
+    the tables and provide ``dual``.
     """
 
-    group_id: str = ""
-    labels: tuple[str, ...] = ()
-    _label_set: frozenset[str] = frozenset()  # labels, for O(1) checks
-
-    # -- primitives supplied by subclasses --------------------------------
-
-    def leq(self, a: str, b: str) -> bool:
-        raise NotImplementedError
-
-    def d(self, label: str) -> str:
-        raise NotImplementedError
+    def __init__(self, group_id, labels, order, bar_a, ds,
+                 dims=None, dynkin=None, rs: RootSystem | None = None):
+        self.group_id = group_id
+        self.labels = tuple(labels)
+        self._label_set = frozenset(self.labels)  # labels, for O(1) checks
+        self._leq = frozenset(order)
+        self._bar = {o: tuple(cs) for o, cs in bar_a.items()}
+        self._ds = dict(ds)
+        self._dims = dict(dims or {})
+        self._dynkin = dict(dynkin or {})
+        self._rs = rs
 
     @property
     def dual(self) -> "NilpotentPoset":
         raise NotImplementedError
 
+    # -- table lookups -----------------------------------------------------
+
+    def leq(self, a: str, b: str) -> bool:
+        self.check_label(a)
+        self.check_label(b)
+        return (a, b) in self._leq
+
+    def d(self, label: str) -> str:
+        """The trivial-class entry of the Sommers table, read past any
+        subclass's ``sommers``."""
+        return NilpotentPoset.sommers(self, label, "1")
+
     def bar_classes(self, label: str) -> tuple[str, ...]:
         self.check_label(label)
-        return ("1",)
+        return self._bar.get(label, ("1",))
 
     def sommers(self, label: str, class_label: str) -> str:
-        raise MissingTableError(
-            f"no Sommers duality table for group {self.group_id}"
-        )
+        self.check_label(label)
+        try:
+            return self._ds[(label, class_label)]
+        except KeyError:
+            raise MissingTableError(
+                f"no duality entry for ({label}, {class_label}) in {self.group_id}"
+            ) from None
+        except TypeError:  # unhashable, so not a class
+            raise UnknownLabelError(
+                f"unknown class {class_label!r} on orbit {label} of {self.group_id}"
+            ) from None
 
     def dim(self, label: str) -> int | None:
         self.check_label(label)
-        return None
+        return self._dims.get(label)
 
     def weighted_dynkin(self, label: str) -> Coweight | None:
         self.check_label(label)
-        return None
+        return self._dynkin.get(label)
 
     def root_system(self) -> RootSystem | None:
-        return None
+        return self._rs
 
     # -- shared behaviour --------------------------------------------------
 
@@ -106,7 +135,7 @@ class NilpotentPoset:
         return self._extreme(lambda a, b: self.leq(b, a))
 
     def _extreme(self, below) -> str:
-        found = [a for a in self.labels if all(below(a, b) for b in self.labels)]
+        found = _least(self.labels, below)
         if len(found) != 1:
             raise NonUniqueCoverError(
                 f"group {self.group_id} has no unique extreme orbit"
@@ -123,7 +152,7 @@ class NilpotentPoset:
         """The unique minimal special orbit above label."""
         self.check_label(label)
         above = [s for s in self.labels if self.is_special(s) and self.leq(label, s)]
-        minima = [s for s in above if all(self.leq(s, t) for t in above)]
+        minima = _least(above, self.leq)
         if len(minima) != 1:
             raise NonUniqueCoverError(
                 f"orbit {label} in {self.group_id} has no unique minimal "
@@ -137,6 +166,11 @@ class NilpotentPoset:
         return tuple(
             b for b in self.labels if self.special_closure(b) == top
         )
+
+
+def _least(items, leq) -> list:
+    """The elements of items that lie below every element of items."""
+    return [a for a in items if all(leq(a, b) for b in items)]
 
 
 def _strip_decoration(label: str) -> str:
@@ -159,8 +193,30 @@ def _family_size(family: str, rank: int) -> int:
     return 2 * rank
 
 
+def _classical_d(family: str, part: pt.Partition, dec: str) -> str:
+    """Transpose, adjust the size for B <-> C, collapse into the dual
+    family; the box conventions are pinned by the property suite."""
+    p = list(pt.transpose(part))
+    if family == "B":
+        p[-1] -= 1  # drop the last box
+        q = pt.collapse(pt.partition(p), "C")
+    elif family == "C":
+        p[0] += 1  # grow the first row
+        q = pt.collapse(pt.partition(p), "B")
+    else:
+        q = pt.collapse(pt.partition(p), family)
+    decoration = ""
+    if _DUAL_FAMILY[family] == "D" and q and all(x % 2 == 0 for x in q):
+        decoration = dec or "I"
+    return partition_label(q, decoration)
+
+
 class ClassicalPoset(NilpotentPoset):
-    """Orbit poset of a classical group, computed from partitions."""
+    """Orbit poset of a classical group: its tables filled from partitions.
+
+    The closure order is dominance, with decorated twins incomparable;
+    ``d`` is the transpose collapsed into the dual family.
+    """
 
     def __init__(self, family: str, rank: int):
         if family not in pt.FAMILIES:
@@ -170,59 +226,35 @@ class ClassicalPoset(NilpotentPoset):
         self.family = family
         self.rank = rank
         self.size = _family_size(family, rank)
-        self.group_id = f"{family}{rank}"
-        labels = []
-        self._part = {}
-        self._dec = {}
+        self._part = part = {}
+        decoration = {}
         for p in pt.enumerate_valid(self.size, family):
-            if family == "D" and p and all(x % 2 == 0 for x in p):
-                for dec in ("I", "II"):
-                    lab = partition_label(p, dec)
-                    labels.append(lab)
-                    self._part[lab] = p
-                    self._dec[lab] = dec
-            else:
-                lab = partition_label(p)
-                labels.append(lab)
-                self._part[lab] = p
-                self._dec[lab] = ""
-        self.labels = tuple(labels)
-        self._label_set = frozenset(self.labels)
+            very_even = family == "D" and p and all(x % 2 == 0 for x in p)
+            for dec in ("I", "II") if very_even else ("",):
+                lab = partition_label(p, dec)
+                part[lab] = p
+                decoration[lab] = dec
+        super().__init__(
+            group_id=f"{family}{rank}",
+            labels=tuple(part),
+            order=[
+                (a, b) for a in part for b in part
+                if pt.dominates(part[b], part[a])
+                and (part[a] != part[b] or decoration[a] == decoration[b])
+            ],
+            bar_a={},
+            ds={(a, "1"): _classical_d(family, part[a], decoration[a])
+                for a in part},
+            rs=root_system(family, rank),
+        )
 
     def partition_of(self, label: str) -> pt.Partition:
         self.check_label(label)
         return self._part[label]
 
-    def leq(self, a: str, b: str) -> bool:
-        self.check_label(a)
-        self.check_label(b)
-        pa, pb = self._part[a], self._part[b]
-        if pa == pb:
-            # decorated twins are incomparable
-            return self._dec[a] == self._dec[b]
-        return pt.dominates(pb, pa)
-
     @property
     def dual(self) -> "ClassicalPoset":
         return classical_poset(_DUAL_FAMILY[self.family], self.rank)
-
-    def d(self, label: str) -> str:
-        """Transpose, adjust the size for B <-> C, collapse into the dual
-        family; the box conventions are pinned by the property suite."""
-        self.check_label(label)
-        p = list(pt.transpose(self._part[label]))
-        if self.family == "B":
-            p[-1] -= 1  # drop the last box
-            q = pt.collapse(pt.partition(p), "C")
-        elif self.family == "C":
-            p[0] += 1  # grow the first row
-            q = pt.collapse(pt.partition(p), "B")
-        else:
-            q = pt.collapse(pt.partition(p), self.family)
-        dec = ""
-        if self.dual.family == "D" and q and all(x % 2 == 0 for x in q):
-            dec = self._dec[label] or "I"
-        return partition_label(q, dec)
 
     def sommers(self, label: str, class_label: str) -> str:
         self.check_label(label)
@@ -235,9 +267,6 @@ class ClassicalPoset(NilpotentPoset):
                 f"unknown class {class_label!r} on orbit {label} of {self.group_id}"
             )
         return self.d(label)
-
-    def root_system(self) -> RootSystem:
-        return root_system(self.family, self.rank)
 
 
 @lru_cache(maxsize=None)
@@ -262,24 +291,16 @@ def transitive_closure(labels, covers) -> frozenset:
 
 
 class BundlePoset(NilpotentPoset):
-    """Orbit poset loaded from a data bundle.
-
-    ``ds`` maps (orbit label, class label) to a dual-group orbit label;
-    the plain duality map is its restriction to the trivial class.
+    """Orbit poset loaded from a data bundle: its tables filled from the
+    bundle's covering pairs, bar classes and Sommers table.
     """
 
     def __init__(self, group_id, labels, covers, bar_a, ds,
                  dims=None, dynkin=None, rs: RootSystem | None = None,
                  special_flags=None):
-        self.group_id = group_id
-        self.labels = tuple(labels)
-        self._label_set = frozenset(self.labels)
-        self._leq = transitive_closure(self.labels, covers)
-        self._bar = {o: tuple(cs) for o, cs in bar_a.items()}
-        self._ds = dict(ds)
-        self._dims = dict(dims or {})
-        self._dynkin = dict(dynkin or {})
-        self._rs = rs
+        labels = tuple(labels)
+        super().__init__(group_id, labels, transitive_closure(labels, covers),
+                         bar_a, ds, dims, dynkin, rs)
         self.special_flags = dict(special_flags or {})
         self._dual: NilpotentPoset | None = None
 
@@ -293,38 +314,6 @@ class BundlePoset(NilpotentPoset):
                 f"group {self.group_id} has no dual-group data attached"
             )
         return self._dual
-
-    def leq(self, a: str, b: str) -> bool:
-        self.check_label(a)
-        self.check_label(b)
-        return (a, b) in self._leq
-
-    def bar_classes(self, label: str) -> tuple[str, ...]:
-        self.check_label(label)
-        return self._bar.get(label, ("1",))
-
-    def sommers(self, label: str, class_label: str) -> str:
-        self.check_label(label)
-        try:
-            return self._ds[(label, class_label)]
-        except KeyError:
-            raise MissingTableError(
-                f"no duality entry for ({label}, {class_label}) in {self.group_id}"
-            ) from None
-
-    def d(self, label: str) -> str:
-        return self.sommers(label, "1")
-
-    def dim(self, label: str) -> int | None:
-        self.check_label(label)
-        return self._dims.get(label)
-
-    def weighted_dynkin(self, label: str) -> Coweight | None:
-        self.check_label(label)
-        return self._dynkin.get(label)
-
-    def root_system(self) -> RootSystem | None:
-        return self._rs
 
 
 # -- functional wrappers used by callers that hold a poset handle ------------

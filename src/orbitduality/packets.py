@@ -69,7 +69,7 @@ class ParameterSet:
     def get(self, param_id: str) -> Parameter:
         try:
             return self._by_id[param_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: unhashable, so not an id
             raise UnknownLabelError(f"unknown parameter id {param_id!r}") from None
 
     def ids(self) -> list[str]:

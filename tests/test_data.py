@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from orbitduality import data
 from orbitduality.duality import DualPair, achar_dual, all_bar_classes, embed, pair_leq
 from orbitduality.errors import BundleValidationError, OrbitDualityError, SchemaError
-from orbitduality.orbits import BundlePoset
+from orbitduality.orbits import BundlePoset, classical_poset
 from orbitduality.rootdata import Coweight
 
 
@@ -578,3 +578,58 @@ def test_load_from_bytes_and_file_object(f4_bundle):
     import io
 
     assert data.load_bundle(io.StringIO(raw)) == f4_bundle
+
+
+# -- the bundle path against the partition path ------------------------------
+
+def classical_bundle_doc(poset):
+    """A type A classical poset as a bundle document, and its relabelling.
+
+    The document carries the closure pairs, the trivial class on every
+    orbit, ``d_s`` = ``d`` and the computed special flags; the zero orbit
+    is relabelled "0", which ``closure_order`` requires.
+    """
+    zero = poset.zero()
+    name = {a: "0" if a == zero else a for a in poset.labels}
+    doc = {
+        "format_version": data.FORMAT_VERSION,
+        "group": {"type": poset.family, "rank": poset.rank},
+        "dual_group": "self",
+        "orbits": [
+            {"label": name[a], "special": poset.is_special(a)} for a in poset.labels
+        ],
+        "closure": [
+            [name[a], name[b]]
+            for a in poset.labels for b in poset.labels
+            if a != b and poset.leq(a, b)
+        ],
+        "bar_a": {name[a]: ["1"] for a in poset.labels},
+        "d_s": {name[a]: {"1": name[poset.d(a)]} for a in poset.labels},
+        "provenance": {"d_s": "the partition transpose"},
+    }
+    return doc, name
+
+
+@pytest.mark.parametrize("rank", range(5, 13))
+def test_type_a_bundle_path_matches_partition_path(rank):
+    p = classical_poset("A", rank)
+    doc, name = classical_bundle_doc(p)
+    bundle = data.parse_bundle(json.dumps(doc))
+    assert data.validate_bundle(bundle).passed
+    pair = data.dual_pair(bundle)
+    g = pair.g
+    for a in p.labels:
+        assert g.d(name[a]) == name[p.d(a)]
+        assert g.is_special(name[a]) == p.is_special(a)
+        assert g.special_closure(name[a]) == name[p.special_closure(a)]
+        for b in p.labels:
+            assert g.leq(name[a], name[b]) == p.leq(a, b), (a, b)
+    if rank <= 9:
+        classical = DualPair(p, p.dual)
+        for a in p.labels:
+            assert achar_dual(pair, (name[a], "1")) == (name[p.d(a)], "1")
+            assert achar_dual(classical, (a, "1")) == (p.d(a), "1")
+    if rank <= 7:
+        for a in p.labels:
+            piece = tuple(name[b] for b in p.special_piece(a))
+            assert g.special_piece(name[a]) == piece

@@ -18,10 +18,10 @@ from orbitduality.orbits import (
     special_piece_of,
 )
 
-CLASSICAL = [("A", r) for r in range(1, 5)] + \
-    [("B", r) for r in range(1, 5)] + \
-    [("C", r) for r in range(1, 5)] + \
-    [("D", r) for r in range(2, 5)]
+CLASSICAL = [("A", r) for r in range(1, 7)] + \
+    [("B", r) for r in range(1, 7)] + \
+    [("C", r) for r in range(1, 7)] + \
+    [("D", r) for r in range(2, 7)]
 
 
 def strip_dec(label):
@@ -129,21 +129,40 @@ def test_special_pieces_partition_classical():
             assert all(p.leq(a, top) for a in piece)
 
 
-def test_very_even_twins():
-    d4 = classical_poset("D", 4)
-    assert "(4,4)I" in d4.labels and "(4,4)II" in d4.labels
-    assert not d4.leq("(4,4)I", "(4,4)II")
-    assert not d4.leq("(4,4)II", "(4,4)I")
-    assert d4.leq("(4,4)I", "(4,4)I")
+@pytest.mark.parametrize("rank", [4, 6, 8])
+def test_very_even_twins(rank):
+    dn = classical_poset("D", rank)
+    top = partition_label((rank, rank))
+    bottom = partition_label((2,) * rank)
+    assert top + "I" in dn.labels and top + "II" in dn.labels
+    assert not dn.leq(top + "I", top + "II")
+    assert not dn.leq(top + "II", top + "I")
+    assert dn.leq(top + "I", top + "I")
     # identical closures below
-    below_i = {a for a in d4.labels if d4.leq(a, "(4,4)I")} - {"(4,4)I"}
-    below_ii = {a for a in d4.labels if d4.leq(a, "(4,4)II")} - {"(4,4)II"}
+    below_i = {a for a in dn.labels if dn.leq(a, top + "I")} - {top + "I"}
+    below_ii = {a for a in dn.labels if dn.leq(a, top + "II")} - {top + "II"}
     assert below_i == below_ii
     # duality carries the decoration
-    assert d4.d("(4,4)I") == "(2,2,2,2)I"
-    assert d4.d("(4,4)II") == "(2,2,2,2)II"
-    assert d4.same_image("(4,4)I", "(4,4)II")
-    assert not d4.same_image("(4,4)I", "(2,2,2,2)I")
+    assert dn.d(top + "I") == bottom + "I"
+    assert dn.d(top + "II") == bottom + "II"
+    assert dn.same_image(top + "I", top + "II")
+    assert not dn.same_image(top + "I", bottom + "I")
+
+
+# (orbits, specials, special pieces), as recorded for the classical sweep
+RECORDED_COUNTS = {
+    ("B", 4): (13, 10, 10), ("B", 5): (21, 16, 16), ("B", 6): (35, 26, 26),
+    ("C", 4): (14, 10, 10), ("C", 5): (24, 16, 16), ("C", 6): (40, 26, 26),
+    ("D", 4): (12, 11, 11), ("D", 5): (16, 14, 14), ("D", 6): (31, 27, 27),
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(RECORDED_COUNTS))
+def test_classical_counts_match_recorded(family, rank):
+    p = classical_poset(family, rank)
+    pieces = {special_piece_of(p, a) for a in p.labels}
+    counts = (len(p.labels), len(p.specials()), len(pieces))
+    assert counts == RECORDED_COUNTS[(family, rank)]
 
 
 def test_unknown_label_and_missing_tables():

@@ -138,6 +138,13 @@ def test_unknown_parameter(f4_params):
         f4_params.get("X99")
 
 
+def test_unhashable_class_or_parameter_id_is_unknown(f4_pair, f4_params):
+    with pytest.raises(UnknownLabelError, match=r"unknown class \['1'\] on orbit 0"):
+        f4_pair.g.sommers("0", ["1"])
+    with pytest.raises(UnknownLabelError, match=r"unknown parameter id \['X1'\]"):
+        f4_params.get(["X1"])
+
+
 def test_parameter_set_index_is_not_a_field():
     names = [f.name for f in dataclasses.fields(ParameterSet)]
     assert names == ["ic_orbit", "params"]
