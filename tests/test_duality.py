@@ -20,7 +20,7 @@ from orbitduality.errors import (
     NonUniqueCoverError,
     UnknownLabelError,
 )
-from orbitduality.orbits import BundlePoset, classical_poset
+from orbitduality.orbits import BundlePoset, NilpotentPoset, classical_poset
 from orbitduality.packets import arthur_packet, check_jiang, weak_packet
 
 GOLDEN_LIB = (
@@ -182,13 +182,14 @@ def test_refined_duality_matches_golden_answers(f4_pair):
 @pytest.fixture()
 def sommers_calls(monkeypatch):
     calls = []
-    real = BundlePoset.sommers
+    real = NilpotentPoset.sommers
 
     def counted(self, label, class_label):
         calls.append((label, class_label))
         return real(self, label, class_label)
 
-    monkeypatch.setattr(BundlePoset, "sommers", counted)
+    # every table read, ``d``'s included, goes through the base method
+    monkeypatch.setattr(NilpotentPoset, "sommers", counted)
     return calls
 
 
