@@ -324,7 +324,6 @@ def bundle_poset(bundle: GroupBundle) -> BundlePoset:
         dims={o.label: o.dim for o in bundle.orbits if o.dim is not None},
         dynkin=dynkin,
         rs=rs,
-        special_flags={o.label: o.special for o in bundle.orbits},
     )
     if bundle.dual_group == "self":
         poset.attach_dual(poset)
@@ -390,7 +389,7 @@ def _check(fn):
 
 
 @_check
-def _check_closure_order(poset):
+def _check_closure_order(poset, flags):
     problems = []
     for a in poset.labels:
         for b in poset.labels:
@@ -405,7 +404,7 @@ def _check_closure_order(poset):
     if zero != "0":
         return False, f"minimum orbit is {zero!r}, expected '0'"
     for lab, role in ((zero, "zero"), (reg, "regular")):
-        if not poset.special_flags.get(lab, False):
+        if not flags.get(lab, False):
             return False, f"{role} orbit {lab} is not flagged special"
     return True, f"minimum {zero}, maximum {reg}"
 
@@ -485,10 +484,10 @@ def _check_d_duality(poset, dual):
 
 
 @_check
-def _check_special_flags(poset):
+def _check_special_flags(poset, flags):
     bad = [
         a for a in poset.labels
-        if poset.is_special(a) != poset.special_flags.get(a, False)
+        if poset.is_special(a) != flags.get(a, False)
     ]
     if bad:
         return False, "flags disagree with d∘d fixed points at " + _brief(bad)
@@ -592,10 +591,11 @@ def validate_bundle(
 ) -> ValidationReport:
     """Run every invariant check and return the full report."""
     poset, dual_poset = _poset_pair(bundle, dual_bundle)
+    flags = {o.label: o.special for o in bundle.orbits}
     checks = {
         c.name: c
         for c in (
-            _check_closure_order(poset),
+            _check_closure_order(poset, flags),
             _check_bar_classes(poset),
             _check_ds_tables(bundle, poset, dual_bundle, dual_poset),
             _check_weighted_dynkin(poset),
@@ -614,7 +614,7 @@ def validate_bundle(
         )
     else:
         checks["d_duality"] = _check_d_duality(poset, dual_poset)
-        checks["special_flags"] = _check_special_flags(poset)
+        checks["special_flags"] = _check_special_flags(poset, flags)
         if checks["d_duality"].passed and checks["special_flags"].passed:
             checks["duality_identities"] = _check_duality_identities(
                 DualPair(poset, dual_poset)

@@ -10,9 +10,10 @@ the flipped pair is not itself in the image of the dual embedding.
 
 One private ``_DualityTable`` per call tabulates the embedding of its
 side, |B| Sommers-table lookups for |B| bar classes on first use, and its
-``flip()`` is the table on the flipped pair, built once and pointing back,
-so both sides cost 2·|B| lookups.  Everything else reads the table through
-its methods: ``pairs``, ``unembed``, ``collision``, ``cover`` and ``dual``.
+``flip()`` is the table on the flipped pair over the same tabulations,
+so a call costs at most 2·|B| lookups, |B| for a self-dual pair (21 on
+F4).  Everything else reads the table through its methods: ``pairs``,
+``unembed``, ``collision``, ``cover`` and ``dual``.
 ``achar_dual``, ``min_special_cover``, ``is_special_pair``, the packet
 queries and the validator's identities check each build one; nothing is
 kept between calls.
@@ -20,9 +21,7 @@ kept between calls.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     GroupMismatchError,
@@ -101,48 +100,46 @@ def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
 class _DualityTable:
     """Refined duality on one pair, tabulated for the duration of one call.
 
-    ``pairs`` maps every bar class of ``pair.g`` to its embedded pair, in
-    ``all_bar_classes`` order, |B| Sommers lookups on first use.  ``flip()``
-    is the table on the flipped pair, built once and pointing back here, so
-    the two sides cost 2·|B| lookups in all.  Each bar class's minimal
-    special cover and D are computed once, on first request; bar classes
+    ``_sides`` maps a poset to its tabulation: every bar class's embedded
+    pair, in ``all_bar_classes`` order, and each pair's preimages, |B|
+    Sommers lookups on first use.  ``flip()`` is a table on the flipped pair
+    over the same dict, so a self-dual pair is tabulated once and any other
+    pair costs 2·|B| lookups in all.  Each bar class's minimal special cover
+    and D are computed once per orientation, on first request; bar classes
     must already have passed ``pair.check``.
     """
 
-    def __init__(self, pair: DualPair):
+    def __init__(self, pair: DualPair, sides: dict | None = None):
         self.pair = pair
-        self._flip: _DualityTable | None = None
-        self._back: weakref.ref | None = None
+        self._sides = {} if sides is None else sides  # poset -> (pairs, hits)
         self._covers: dict[BarClass, BarClass] = {}
 
-    @cached_property
-    def pairs(self) -> dict[BarClass, OrbitPair]:
-        g = self.pair.g
-        return {(o, c): (o, g.sommers(o, c)) for o, c in all_bar_classes(g)}
+    def _side(self, poset: NilpotentPoset) -> tuple[dict, dict]:
+        if poset not in self._sides:
+            pairs = {
+                (o, c): (o, poset.sommers(o, c)) for o, c in all_bar_classes(poset)
+            }
+            hits: dict[OrbitPair, list[BarClass]] = {}
+            for bc, p in pairs.items():
+                hits.setdefault(p, []).append(bc)
+            self._sides[poset] = pairs, hits
+        return self._sides[poset]
 
-    @cached_property
-    def _hits(self) -> dict[OrbitPair, list[BarClass]]:
-        hits: dict[OrbitPair, list[BarClass]] = {}
-        for bc, p in self.pairs.items():
-            hits.setdefault(p, []).append(bc)
-        return hits
+    @property
+    def pairs(self) -> dict[BarClass, OrbitPair]:
+        return self._side(self.pair.g)[0]
 
     def flip(self) -> "_DualityTable":
-        """The table on the flipped pair, built once.  It points back here
-        through a weak reference: a cycle between the two would leave every
-        call's tables to the cyclic garbage collector."""
-        flip = self._flip or (self._back and self._back())
-        if flip is None:
-            flip = self._flip = _DualityTable(self.pair.flip())
-            flip._back = weakref.ref(self)
-        return flip
+        """The table on the flipped pair, sharing this one's tabulations."""
+        return _DualityTable(self.pair.flip(), self._sides)
 
-    def unembed(self, target: OrbitPair) -> BarClass | None:
-        """Inverse of embed on this side, None when not hit."""
-        hits = self._hits.get(target, ())
+    def unembed(self, target: OrbitPair, poset=None) -> BarClass | None:
+        """Inverse of embed on this side, or on ``poset``, None when not hit."""
+        poset = self.pair.g if poset is None else poset
+        hits = self._side(poset)[1].get(target, ())
         if len(hits) > 1:
             raise InconsistentDataError(
-                f"embedding of {self.pair.g.group_id} is not injective at {target}"
+                f"embedding of {poset.group_id} is not injective at {target}"
             )
         return hits[0] if hits else None
 
@@ -150,25 +147,27 @@ class _DualityTable:
         """The first bar class that lands on an earlier one's pair, that
         earlier one and the pair; None when the embedding is injective.
         Classes are embedded in order, so a collision is reported before a
-        later class's missing table entry; a full walk becomes ``pairs``."""
+        later class's missing table entry; a full walk is this side's
+        tabulation."""
         g, seen = self.pair.g, {}
         for o, c in all_bar_classes(g):
             p = (o, g.sommers(o, c))
             if p in seen:
                 return seen[p], (o, c), p
             seen[p] = (o, c)
-        self.pairs = {bc: p for p, bc in seen.items()}
+        pairs = {bc: p for p, bc in seen.items()}
+        self._sides[g] = pairs, {p: [bc] for bc, p in pairs.items()}
         return None
 
     def cover(self, bc: BarClass) -> BarClass:
         """The unique smallest special bar class above bc."""
         if bc not in self._covers:
-            pair, pairs, flip = self.pair, self.pairs, self.flip()
+            pair, pairs = self.pair, self.pairs
             here = pairs[bc]
             above = [
                 other
                 for other, p in pairs.items()
-                if flip.unembed(_flip_pair(p)) is not None
+                if self.unembed(_flip_pair(p), pair.gd) is not None
                 and pair_leq(pair, here, p)
             ]
             minima = _least(above, lambda x, y: pair_leq(pair, pairs[x], pairs[y]))
@@ -181,8 +180,8 @@ class _DualityTable:
         return self._covers[bc]
 
     def dual(self, bc: BarClass) -> BarClass:
-        """D(bc): embed the cover, flip, unembed."""
-        return self.flip().unembed(_flip_pair(self.pairs[self.cover(bc)]))
+        """D(bc): embed the cover, flip, unembed on the dual side."""
+        return self.unembed(_flip_pair(self.pairs[self.cover(bc)]), self.pair.gd)
 
 
 def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:

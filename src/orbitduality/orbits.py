@@ -296,12 +296,10 @@ class BundlePoset(NilpotentPoset):
     """
 
     def __init__(self, group_id, labels, covers, bar_a, ds,
-                 dims=None, dynkin=None, rs: RootSystem | None = None,
-                 special_flags=None):
+                 dims=None, dynkin=None, rs: RootSystem | None = None):
         labels = tuple(labels)
         super().__init__(group_id, labels, transitive_closure(labels, covers),
                          bar_a, ds, dims, dynkin, rs)
-        self.special_flags = dict(special_flags or {})
         self._dual: NilpotentPoset | None = None
 
     def attach_dual(self, other: "NilpotentPoset") -> None:

@@ -10,12 +10,13 @@ packet notions are sublevel sets of that invariant and of its coarse
 first projection.
 
 One packet query (``arthur_packet``, ``weak_packet`` or ``check_jiang``)
-builds one refined-duality table on ``pair.flip()``, 2·|B| Sommers-table
-lookups for |B| bar classes, and reads the bound and every parameter's
-invariant from it: each invariant checks its bar class, then asks the
-table for ``dual``; the g-side embedding is the flipped table's
-``pairs``.  The table tabulates on first use, so a bad label is reported
-before a bad table.  Nothing is kept between calls.
+builds one refined-duality table on ``pair.flip()``, at most 2·|B|
+Sommers-table lookups for |B| bar classes, |B| for a self-dual pair (21 on
+F4), and reads the bound and every parameter's invariant from it: each
+invariant checks its bar class, then asks the table for ``dual``; the
+g-side embedding is the flipped table's ``pairs``.  The table tabulates on
+first use, so a bad label is reported before a bad table.  Nothing is kept
+between calls.
 """
 
 from __future__ import annotations

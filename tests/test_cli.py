@@ -140,6 +140,14 @@ def test_unknown_parameter_exit_code(capsys, bundle_path):
     assert "X99" in err
 
 
+@pytest.mark.parametrize("command", ["packet", "weak-packet"])
+def test_unknown_parameter_set_exit_code(capsys, bundle_path, command):
+    code, out, err = run_cli(capsys, "--bundle", bundle_path, command, "A1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: bundle has no parameter set at 'A1'\n"
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "--bundle", "/no/such/file.json", "dual", "0")
     assert code == 2
@@ -171,6 +179,17 @@ def test_verify_fails_on_broken_bundle(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--bundle", str(path), "verify")
     assert code == 2
     assert "FAIL closure_order" in out
+
+
+def test_verify_without_unique_zero_orbit_reports(capsys, tmp_path):
+    doc = json.loads(data.builtin_bundle_text("f4"))
+    doc["closure"] = [c for c in doc["closure"] if c[0] != "0"]
+    path = tmp_path / "nozero.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--bundle", str(path), "verify")
+    assert code == 2
+    assert "FAIL closure_order: group F4 has no unique extreme orbit" in out
+    assert "Traceback" not in out + err
 
 
 def test_query_on_broken_bundle_exits_2(capsys, tmp_path):

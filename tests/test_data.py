@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 
@@ -233,6 +234,12 @@ def test_zero_orbit_must_be_special(f4_doc):
     assert "closure_order" in failed_names(f4_doc)
 
 
+def test_no_unique_zero_orbit_fails_closure_order(f4_doc):
+    f4_doc["closure"] = [c for c in f4_doc["closure"] if c[0] != "0"]
+    details = failed_names(f4_doc)
+    assert details["closure_order"] == "group F4 has no unique extreme orbit"
+
+
 def test_ds_missing_entry_names_totality(f4_doc):
     del f4_doc["d_s"]["F4(a3)"]["(123)"]
     details = failed_names(f4_doc)
@@ -349,6 +356,8 @@ def test_bar_class_missing_trivial(f4_doc):
             {"id": "X1", "n_orbit": "0", "az": "X1"}), "duplicate parameter"),
         (lambda d: d["parameter_sets"][0]["parameters"][0].update(n_orbit="Q9"),
          "unknown orbit"),
+        (lambda d: d["bar_a"]["F4(a3)"].append("(12)"), "duplicate classes"),
+        (lambda d: d["parameter_sets"][0].update(ic_orbit="Q9"), "unknown orbit"),
     ],
 )
 def test_schema_errors(f4_doc, mutate, fragment):
@@ -578,6 +587,11 @@ def test_load_from_bytes_and_file_object(f4_bundle):
     import io
 
     assert data.load_bundle(io.StringIO(raw)) == f4_bundle
+
+
+def test_load_from_binary_file_object(f4_bundle):
+    raw = data.builtin_bundle_text("f4")
+    assert data.load_bundle(io.BytesIO(raw.encode("utf-8"))) == data.load_bundle(raw)
 
 
 # -- the bundle path against the partition path ------------------------------

@@ -240,6 +240,34 @@ def test_packet_query_lookup_count(f4_pair, f4_params, sommers_calls, query, mos
     assert 0 < len(sommers_calls) <= most
 
 
+def test_self_dual_pair_is_tabulated_once(f4_pair, sommers_calls):
+    # g and its dual are one poset, so one tabulation serves both sides
+    assert f4_pair.g is f4_pair.gd
+    for bc in all_bar_classes(f4_pair.g):
+        sommers_calls.clear()
+        achar_dual(f4_pair, bc)
+        assert 0 < len(sommers_calls) <= 21, bc
+
+
+@pytest.mark.parametrize(
+    "query",
+    [lambda pair, ps: data._check_duality_identities(pair), arthur_packet],
+    ids=["identities", "arthur_packet"],
+)
+def test_self_dual_queries_tabulate_once(f4_pair, f4_params, sommers_calls, query):
+    query(f4_pair, f4_params)
+    assert 0 < len(sommers_calls) <= 21
+
+
+def test_distinct_dual_posets_are_tabulated_separately(f4_bundle, sommers_calls):
+    pair = data.dual_pair(f4_bundle, f4_bundle)
+    assert pair.g is not pair.gd
+    for bc in all_bar_classes(pair.g):
+        sommers_calls.clear()
+        achar_dual(pair, bc)
+        assert len(sommers_calls) == 42, bc
+
+
 def test_unknown_bar_class_raises_before_any_lookup(f4_pair, sommers_calls):
     for fn in (achar_dual, min_special_cover):
         with pytest.raises(UnknownLabelError):

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from orbitduality import data
 from orbitduality import partitions as pt
 from orbitduality.errors import (
     MissingTableError,
@@ -8,6 +11,7 @@ from orbitduality.errors import (
 )
 from orbitduality.orbits import (
     BundlePoset,
+    ClassicalPoset,
     bvls_dual,
     classical_poset,
     closure_leq,
@@ -177,6 +181,12 @@ def test_unknown_label_and_missing_tables():
         a2.sommers("(2,1)", "(12)")
 
 
+@pytest.mark.parametrize("family,rank", [("E", 4), ("D", 1), ("A", 0)])
+def test_bad_family_or_rank_is_value_error(family, rank):
+    with pytest.raises(ValueError):
+        ClassicalPoset(family, rank)
+
+
 @pytest.mark.parametrize("label", [3, None, ("(4)",), ["(4)"], {"(4)": 1}])
 def test_non_string_label_is_unknown(f4_pair, label):
     for poset in (classical_poset("C", 2), f4_pair.g):
@@ -202,14 +212,21 @@ def test_f4_closure_examples(f4_pair):
     assert all(closure_leq(g, a, a) for a in g.labels)
 
 
-def test_f4_specials(f4_pair):
+def test_is_special_needs_an_attached_dual(f4_doc):
+    f4_doc["dual_group"] = "F4-partner"
+    poset = data.bundle_poset(data.parse_bundle(json.dumps(f4_doc)))
+    with pytest.raises(MissingTableError):
+        poset.is_special("0")
+
+
+def test_f4_specials(f4_pair, f4_bundle):
     g = f4_pair.g
     assert is_special(g, "0")
     assert is_special(g, "F4(a3)")
     assert not is_special(g, "A1")
     assert not is_special(g, "B2")
     computed = {a for a in g.labels if is_special(g, a)}
-    flagged = {a for a, flag in g.special_flags.items() if flag}
+    flagged = {o.label for o in f4_bundle.orbits if o.special}
     assert computed == flagged
     assert len(computed) == 11
 

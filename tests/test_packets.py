@@ -9,7 +9,7 @@ import pytest
 from orbitduality import data, packets
 from orbitduality.duality import DualPair, achar_dual, embed, pair_leq
 from orbitduality.errors import InconsistentDataError, UnknownLabelError
-from orbitduality.orbits import BundlePoset
+from orbitduality.orbits import BundlePoset, classical_poset
 from orbitduality.packets import (
     JiangReport,
     Parameter,
@@ -35,6 +35,11 @@ WEAK = ["X5", "X7", "X8", "X9", "X11", "X13", "X15", "X17", "X18", "X19", "X20"]
 def test_natural_key_ordering():
     ids = ["X10", "X2", "X1", "X20", "X3"]
     assert sorted(ids, key=natural_key) == ["X1", "X2", "X3", "X10", "X20"]
+
+
+def test_natural_key_orders_suffixed_ids():
+    ids = ["X10a", "X2", "X1b", "X1a"]
+    assert sorted(ids, key=natural_key) == ["X1a", "X1b", "X2", "X10a"]
 
 
 def test_tempered_examples(f4_params):
@@ -176,6 +181,15 @@ def test_infl_sum_witness_search(f4_pair):
     assert found is not None
     h_art, h_lan = found
     assert check_infl_sum(g, h_art, h_lan, "F4(a3)")
+
+
+def test_infl_sum_needs_weighted_dynkin_data():
+    c2 = classical_poset("C", 2)
+    zero = Coweight.of([0, 0])
+    with pytest.raises(UnknownLabelError):
+        check_infl_sum(c2, zero, zero, "(4)")
+    with pytest.raises(UnknownLabelError):
+        infl_sum_witness(c2, "(4)", "(4)", "(4)")
 
 
 def _toy_pair():
