@@ -120,10 +120,9 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    if args.command == "verify":
-        return _verify(args, bundle, pair, report)
-
     try:
+        if args.command == "verify":
+            return _verify(args, bundle, pair, report)
         return _dispatch(args, bundle, pair)
     except (UnknownLabelError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

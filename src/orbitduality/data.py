@@ -558,18 +558,20 @@ def _check_parameter_orbits(bundle, poset):
 def _check_duality_identities(pair: DualPair):
     """Embedding injective, pr1∘D = d_S, D^3 = D and D order-reversing.
 
-    One refined-duality table and its flip answer every question, D on the
-    dual side only over the image of D, so each law is a table lookup.
+    One refined-duality table answers every question, D on the dual side
+    only over the image of D, so each law is a table lookup; a self-dual
+    pair equals its flip, so its covers are searched once.
     """
-    table = _DualityTable(pair)
-    collision = table.collision()
+    table = _DualityTable()
+    collision = table.collision(pair.g)
     if collision is not None:
         first, bc, img = collision
         return False, f"embedding collision: {first} and {bc} both map to {img}"
-    embedded = table.pairs
-    refined = {bc: table.dual(bc) for bc in embedded}
-    flip = table.flip()
-    back = {b: flip.dual(b) for b in dict.fromkeys(refined.values())}
+    embedded = table.pairs(pair.g)
+    refined = {bc: table.dual(pair, bc) for bc in embedded}
+    flip = pair.flip()
+    back = {b: table.dual(flip, b) for b in dict.fromkeys(refined.values())}
+    dual_embedded = table.pairs(pair.gd)
     for bc, once in refined.items():
         if embedded[bc][1] != once[0]:
             return False, (
@@ -580,7 +582,7 @@ def _check_duality_identities(pair: DualPair):
     for x in embedded:
         for y in embedded:
             if pair_leq(pair, embedded[x], embedded[y]) and not pair_leq(
-                flip.pair, flip.pairs[refined[y]], flip.pairs[refined[x]]
+                flip, dual_embedded[refined[y]], dual_embedded[refined[x]]
             ):
                 return False, f"refined duality not order-reversing on {x} <= {y}"
     return True, "embedding injective, D^3 = D, pr1∘D = d_S"

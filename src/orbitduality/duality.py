@@ -8,15 +8,14 @@ of its dual group; embedding a bar class as the pair
 refined duality, with a detour through the minimal special cover when
 the flipped pair is not itself in the image of the dual embedding.
 
-One private ``_DualityTable`` per call tabulates the embedding of its
-side, |B| Sommers-table lookups for |B| bar classes on first use, and its
-``flip()`` is the table on the flipped pair over the same tabulations,
-so a call costs at most 2·|B| lookups, |B| for a self-dual pair (21 on
-F4).  Everything else reads the table through its methods: ``pairs``,
-``unembed``, ``collision``, ``cover`` and ``dual``.
-``achar_dual``, ``min_special_cover``, ``is_special_pair``, the packet
-queries and the validator's identities check each build one; nothing is
-kept between calls.
+One private ``_DualityTable`` per call memoizes what that call needs:
+each poset's embedding, |B| Sommers-table lookups for |B| bar classes on
+first use, so a call costs at most 2·|B| lookups, |B| for a self-dual pair
+(21 on F4), and each minimal special cover.  Every question names its key:
+``pairs(poset)``, ``unembed(poset, target)``, ``collision(g)``,
+``cover(pair, bc)`` and ``dual(pair, bc)``.  ``achar_dual``,
+``min_special_cover``, ``is_special_pair``, the packet queries and the
+validator's identities check each build one; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class DualPair:
             cls = normalize_class(cls)
         except (AttributeError, TypeError, ValueError):
             raise UnknownLabelError(f"{bc!r} is not an (orbit, class) pair") from None
-        self.g.check_label(orbit)
         if cls not in self.g.bar_classes(orbit):
             raise UnknownLabelError(
                 f"orbit {orbit} of {self.g.group_id} has no class {cls!r}"
@@ -94,25 +92,24 @@ def _flip_pair(p: OrbitPair) -> OrbitPair:
 def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
     """Whether the flipped embedded pair lies in the dual embedding image."""
     target = _flip_pair(embed(pair, bc))
-    return _DualityTable(pair.flip()).unembed(target) is not None
+    return _DualityTable().unembed(pair.gd, target) is not None
 
 
 class _DualityTable:
-    """Refined duality on one pair, tabulated for the duration of one call.
+    """Refined duality, memoized for the duration of one call.
 
-    ``_sides`` maps a poset to its tabulation: every bar class's embedded
-    pair, in ``all_bar_classes`` order, and each pair's preimages, |B|
-    Sommers lookups on first use.  ``flip()`` is a table on the flipped pair
-    over the same dict, so a self-dual pair is tabulated once and any other
-    pair costs 2·|B| lookups in all.  Each bar class's minimal special cover
-    and D are computed once per orientation, on first request; bar classes
-    must already have passed ``pair.check``.
+    Each answer is keyed by what it depends on.  A poset's tabulation, every
+    bar class's embedded pair in ``all_bar_classes`` order and each pair's
+    preimages, is keyed by poset: |B| Sommers lookups on first use.  A bar
+    class's minimal special cover is keyed by the oriented pair's two
+    posets and the class; a self-dual pair equals its flip, so both
+    orientations share one key, while distinct posets keep their own.  Bar
+    classes must already have passed ``pair.check``.
     """
 
-    def __init__(self, pair: DualPair, sides: dict | None = None):
-        self.pair = pair
-        self._sides = {} if sides is None else sides  # poset -> (pairs, hits)
-        self._covers: dict[BarClass, BarClass] = {}
+    def __init__(self):
+        self._sides = {}  # poset -> (pairs, hits)
+        self._covers = {}  # (g, gd, bar class) -> cover
 
     def _side(self, poset: NilpotentPoset) -> tuple[dict, dict]:
         if poset not in self._sides:
@@ -125,17 +122,11 @@ class _DualityTable:
             self._sides[poset] = pairs, hits
         return self._sides[poset]
 
-    @property
-    def pairs(self) -> dict[BarClass, OrbitPair]:
-        return self._side(self.pair.g)[0]
+    def pairs(self, poset: NilpotentPoset) -> dict[BarClass, OrbitPair]:
+        return self._side(poset)[0]
 
-    def flip(self) -> "_DualityTable":
-        """The table on the flipped pair, sharing this one's tabulations."""
-        return _DualityTable(self.pair.flip(), self._sides)
-
-    def unembed(self, target: OrbitPair, poset=None) -> BarClass | None:
-        """Inverse of embed on this side, or on ``poset``, None when not hit."""
-        poset = self.pair.g if poset is None else poset
+    def unembed(self, poset: NilpotentPoset, target: OrbitPair) -> BarClass | None:
+        """Inverse of embed on ``poset``, None when not hit."""
         hits = self._side(poset)[1].get(target, ())
         if len(hits) > 1:
             raise InconsistentDataError(
@@ -143,13 +134,13 @@ class _DualityTable:
             )
         return hits[0] if hits else None
 
-    def collision(self) -> tuple[BarClass, BarClass, OrbitPair] | None:
-        """The first bar class that lands on an earlier one's pair, that
-        earlier one and the pair; None when the embedding is injective.
+    def collision(self, g) -> tuple[BarClass, BarClass, OrbitPair] | None:
+        """The first bar class of ``g`` that lands on an earlier one's pair,
+        that earlier one and the pair; None when the embedding is injective.
         Classes are embedded in order, so a collision is reported before a
-        later class's missing table entry; a full walk is this side's
+        later class's missing table entry; a full walk is ``g``'s
         tabulation."""
-        g, seen = self.pair.g, {}
+        seen = {}
         for o, c in all_bar_classes(g):
             p = (o, g.sommers(o, c))
             if p in seen:
@@ -159,15 +150,16 @@ class _DualityTable:
         self._sides[g] = pairs, {p: [bc] for bc, p in pairs.items()}
         return None
 
-    def cover(self, bc: BarClass) -> BarClass:
+    def cover(self, pair: DualPair, bc: BarClass) -> BarClass:
         """The unique smallest special bar class above bc."""
-        if bc not in self._covers:
-            pair, pairs = self.pair, self.pairs
+        key = pair.g, pair.gd, bc  # DualPair equality, without its Python hash
+        if key not in self._covers:
+            pairs = self.pairs(pair.g)
             here = pairs[bc]
             above = [
                 other
                 for other, p in pairs.items()
-                if self.unembed(_flip_pair(p), pair.gd) is not None
+                if self.unembed(pair.gd, _flip_pair(p)) is not None
                 and pair_leq(pair, here, p)
             ]
             minima = _least(above, lambda x, y: pair_leq(pair, pairs[x], pairs[y]))
@@ -176,21 +168,22 @@ class _DualityTable:
                     f"bar class {bc} of {pair.g.group_id} has "
                     f"{len(minima)} minimal special covers"
                 )
-            self._covers[bc] = minima[0]
-        return self._covers[bc]
+            self._covers[key] = minima[0]
+        return self._covers[key]
 
-    def dual(self, bc: BarClass) -> BarClass:
+    def dual(self, pair: DualPair, bc: BarClass) -> BarClass:
         """D(bc): embed the cover, flip, unembed on the dual side."""
-        return self.unembed(_flip_pair(self.pairs[self.cover(bc)]), self.pair.gd)
+        cover = self.pairs(pair.g)[self.cover(pair, bc)]
+        return self.unembed(pair.gd, _flip_pair(cover))
 
 
 def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:
     """The unique smallest special bar class above bc in the embedded order."""
     bc = pair.check(bc)
-    return _DualityTable(pair).cover(bc)
+    return _DualityTable().cover(pair, bc)
 
 
 def achar_dual(pair: DualPair, bc: BarClass) -> BarClass:
     """Refined duality: embed the minimal special cover, flip, unembed."""
     bc = pair.check(bc)
-    return _DualityTable(pair).dual(bc)
+    return _DualityTable().dual(pair, bc)

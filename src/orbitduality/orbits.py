@@ -68,10 +68,6 @@ class NilpotentPoset:
         self._dynkin = dict(dynkin or {})
         self._rs = rs
 
-    @property
-    def dual(self) -> "NilpotentPoset":
-        raise NotImplementedError
-
     # -- table lookups -----------------------------------------------------
 
     def leq(self, a: str, b: str) -> bool:

@@ -10,12 +10,12 @@ packet notions are sublevel sets of that invariant and of its coarse
 first projection.
 
 One packet query (``arthur_packet``, ``weak_packet`` or ``check_jiang``)
-builds one refined-duality table on ``pair.flip()``, at most 2·|B|
-Sommers-table lookups for |B| bar classes, |B| for a self-dual pair (21 on
-F4), and reads the bound and every parameter's invariant from it: each
-invariant checks its bar class, then asks the table for ``dual``; the
-g-side embedding is the flipped table's ``pairs``.  The table tabulates on
-first use, so a bad label is reported before a bad table.  Nothing is kept
+builds one refined-duality table, at most 2·|B| Sommers-table lookups for
+|B| bar classes, |B| for a self-dual pair (21 on F4), and reads the bound
+and every parameter's invariant from it: each invariant checks its bar
+class on ``pair.flip()``, then asks the table for ``dual`` on that pair;
+the g-side embedding is ``pairs(pair.g)``.  The table tabulates on first
+use, so a bad label is reported before a bad table.  Nothing is kept
 between calls.
 """
 
@@ -116,22 +116,25 @@ def geometric_wf(pair: DualPair, ps: ParameterSet, x: Parameter) -> str:
     return cuwf(pair, ps, x)[0]
 
 
-def _wavefront(table: _DualityTable, orbit: str) -> BarClass:
-    """D(orbit, 1) from a table on ``pair.flip()``, the bar class checked
-    first, so a bad label is reported before anything is tabulated."""
-    return table.dual(table.pair.check((orbit, "1")))
+def _wavefront(table: _DualityTable, pair: DualPair, orbit: str) -> BarClass:
+    """D(orbit, 1) on ``pair.flip()``, the bar class checked first, so a bad
+    label is reported before anything is tabulated."""
+    dual = pair.flip()
+    return table.dual(dual, dual.check((orbit, "1")))
 
 
 def _arthur_packet(
     pair: DualPair, ps: ParameterSet, table: _DualityTable
 ) -> list[str]:
-    ic_dual = _wavefront(table, ps.ic_orbit)
-    embedded = table.flip().pairs  # the g side, tabulated by that call
+    ic_dual = _wavefront(table, pair, ps.ic_orbit)
+    embedded = table.pairs(pair.g)  # tabulated by that call
     bound = embedded[ic_dual]
     by_wavefront = {
         x.id
         for x in ps
-        if pair_leq(pair, embedded[_wavefront(table, az_dual(ps, x).n_orbit)], bound)
+        if pair_leq(
+            pair, embedded[_wavefront(table, pair, az_dual(ps, x).n_orbit)], bound
+        )
     }
     by_tempered_dual = {x.id for x in ps if is_tempered(ps, az_dual(ps, x))}
     if by_wavefront != by_tempered_dual:
@@ -147,19 +150,19 @@ def arthur_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     """Parameters whose wavefront invariant is below the dual of the
     infinitesimal-character orbit; provably the same set as the
     parameters with tempered partners, and checked against it."""
-    return _arthur_packet(pair, ps, _DualityTable(pair.flip()))
+    return _arthur_packet(pair, ps, _DualityTable())
 
 
 def weak_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     """Parameters whose coarse wavefront orbit is below d(ic_orbit);
     provably the parameters whose partner orbit lies in the special piece
     of the infinitesimal-character orbit, and checked against it."""
-    table = _DualityTable(pair.flip())
+    table = _DualityTable()
     bound = pair.gd.d(ps.ic_orbit)
     by_wavefront = {
         x.id
         for x in ps
-        if pair.g.leq(_wavefront(table, az_dual(ps, x).n_orbit)[0], bound)
+        if pair.g.leq(_wavefront(table, pair, az_dual(ps, x).n_orbit)[0], bound)
     }
     piece = set(pair.gd.special_piece(ps.ic_orbit))
     by_piece = {x.id for x in ps if az_dual(ps, x).n_orbit in piece}
@@ -205,17 +208,17 @@ class JiangReport:
 def check_jiang(pair: DualPair, ps: ParameterSet) -> JiangReport:
     """Every packet member's coarse wavefront orbit equals d(ic_orbit),
     and the refined lower bound holds across the whole parameter set."""
-    table = _DualityTable(pair.flip())
+    table = _DualityTable()
     d_ic = pair.gd.d(ps.ic_orbit)
     members = []
     for pid in _arthur_packet(pair, ps, table):
-        orbit = _wavefront(table, az_dual(ps, ps.get(pid)).n_orbit)[0]
+        orbit = _wavefront(table, pair, az_dual(ps, ps.get(pid)).n_orbit)[0]
         members.append((pid, orbit, orbit == d_ic))
-    embedded = table.flip().pairs  # the g side
-    bound = embedded[_wavefront(table, ps.ic_orbit)]
+    embedded = table.pairs(pair.g)
+    bound = embedded[_wavefront(table, pair, ps.ic_orbit)]
     lower = []
     for x in sorted(ps, key=lambda x: natural_key(x.id)):
-        wf = embedded[_wavefront(table, az_dual(ps, x).n_orbit)]
+        wf = embedded[_wavefront(table, pair, az_dual(ps, x).n_orbit)]
         lower.append((x.id, pair_leq(pair, bound, wf)))
     return JiangReport(ps.ic_orbit, d_ic, tuple(members), tuple(lower))
 

@@ -233,6 +233,33 @@ def test_missing_dual_bundle_exits_2(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify"],
+        ["--format", "json", "verify"],
+        ["packet", "F4(a3)"],
+        ["weak-packet", "F4(a3)"],
+    ],
+    ids=["verify", "verify-json", "packet", "weak-packet"],
+)
+def test_dual_bundle_breaking_the_packet_laws_exits_2(
+    capsys, tmp_path, bundle_path, command
+):
+    # a dual bundle's closure order is not validated, so this one passes
+    # validation and only the packet laws notice the cover F4(a2) < B2
+    doc = json.loads(data.builtin_bundle_text("f4"))
+    doc["closure"][doc["closure"].index(["B2", "C3(a1)"])] = ["F4(a2)", "B2"]
+    partner = tmp_path / "partner.json"
+    partner.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "--bundle", bundle_path, "--dual-bundle", str(partner), *command
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
 COMMANDS = [
     ["dual", "0"],
     ["achar-dual", "0", "1"],

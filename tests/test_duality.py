@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitduality import data
+from orbitduality import data, duality
 from orbitduality.duality import (
     DualPair,
     achar_dual,
@@ -266,6 +266,39 @@ def test_distinct_dual_posets_are_tabulated_separately(f4_bundle, sommers_calls)
         sommers_calls.clear()
         achar_dual(pair, bc)
         assert len(sommers_calls) == 42, bc
+
+
+@pytest.fixture()
+def cover_searches(monkeypatch):
+    calls = []
+    real = duality._least
+
+    def counted(items, leq):
+        calls.append(items)
+        return real(items, leq)
+
+    monkeypatch.setattr(duality, "_least", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda bundle: data._check_duality_identities(data.dual_pair(bundle)),
+        data.validate_bundle,
+    ],
+    ids=["identities", "validate_bundle"],
+)
+def test_self_dual_covers_are_searched_once(f4_bundle, cover_searches, check):
+    # a self-dual pair equals its flip, so both orientations share 21 covers
+    assert check(f4_bundle).passed
+    assert len(cover_searches) == 21
+
+
+def test_distinct_dual_posets_keep_separate_covers(f4_bundle, cover_searches):
+    pair = data.dual_pair(f4_bundle, f4_bundle)
+    assert data._check_duality_identities(pair).passed
+    assert len(cover_searches) == 42
 
 
 def test_unknown_bar_class_raises_before_any_lookup(f4_pair, sommers_calls):

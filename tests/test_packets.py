@@ -183,13 +183,17 @@ def test_infl_sum_witness_search(f4_pair):
     assert check_infl_sum(g, h_art, h_lan, "F4(a3)")
 
 
-def test_infl_sum_needs_weighted_dynkin_data():
+def test_infl_sum_needs_weighted_dynkin_data(f4_doc):
     c2 = classical_poset("C", 2)
     zero = Coweight.of([0, 0])
     with pytest.raises(UnknownLabelError):
         check_infl_sum(c2, zero, zero, "(4)")
     with pytest.raises(UnknownLabelError):
         infl_sum_witness(c2, "(4)", "(4)", "(4)")
+    f4_doc["group"]["type"] = "E6"  # a type without root-system tables
+    e6 = data.bundle_poset(data.parse_bundle(json.dumps(f4_doc)))
+    with pytest.raises(UnknownLabelError, match="carries no root system data"):
+        check_infl_sum(e6, Coweight.of([0] * 4), Coweight.of([0] * 4), "F4(a3)")
 
 
 def _toy_pair():

@@ -123,6 +123,11 @@ def test_enumerate_examples():
     assert pt.enumerate_valid(5, "B") == ((5,), (3, 1, 1), (2, 2, 1), (1, 1, 1, 1, 1))
     with pytest.raises(ValueError):
         pt.enumerate_valid(4, "B")
+    with pytest.raises(ValueError):
+        pt.enumerate_partitions(-1)
+    with pytest.raises(ValueError):
+        pt.enumerate_valid(-1, "A")
+    assert not pt.size_fits_family(-1, "A")
 
 
 def test_enumerate_complete_and_duplicate_free():

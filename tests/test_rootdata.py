@@ -60,6 +60,14 @@ def test_positive_root_counts(label, rank, count):
     assert rs.num_positive_roots == count
 
 
+@pytest.mark.parametrize(
+    "args", [("F4", 3), ("G2", 3), ("B", 0), ("A",), ("D", 1)], ids=str
+)
+def test_root_system_rejects_bad_rank(args):
+    with pytest.raises(ValueError):
+        root_system(*args)
+
+
 def test_dominant_rep_fixes_zero():
     rs = root_system("B", 3)
     zero = Coweight.of([0, 0, 0])
@@ -82,6 +90,10 @@ def test_dimension_mismatch_rejected():
         dominant_rep(Coweight.of([1, 2]), F4)
     with pytest.raises(ValueError):
         weyl_conjugate(Coweight.of([1]), Coweight.of([1, 0, 0, 0]), F4)
+    with pytest.raises(ValueError):
+        Coweight.of([1]) + Coweight.of([1, 2])
+    with pytest.raises(ValueError):
+        half_sum(Coweight.of([1]), Coweight.of([1, 2]))
 
 
 def test_weyl_conjugate_basics():
