@@ -10,10 +10,10 @@ BundleValidationError naming the violated invariant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import wraps
 from importlib import resources
 
+from ._record import Record
 from .duality import DualPair, _DualityTable, normalize_class, pair_leq
 from .errors import (
     BundleValidationError,
@@ -28,16 +28,14 @@ from .rootdata import Coweight, positive_roots, root_pairing, root_system
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Record):
     label: str
     special: bool
     dim: int | None = None
     weighted_dynkin: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class GroupBundle:
+class GroupBundle(Record):
     group_type: str
     group_rank: int
     node_order: tuple[int, ...]
@@ -55,15 +53,13 @@ class GroupBundle:
         return tuple(o.label for o in self.orbits)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     details: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     checks: tuple[CheckResult, ...]
 
     @property

@@ -20,8 +20,7 @@ validator's identities check each build one; nothing is kept between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import (
     GroupMismatchError,
     InconsistentDataError,
@@ -38,8 +37,7 @@ def normalize_class(class_label: str) -> str:
     return "".join(class_label.split())
 
 
-@dataclass(frozen=True)
-class DualPair:
+class DualPair(Record):
     """An oriented pair of mutually dual orbit posets."""
 
     g: NilpotentPoset

@@ -21,9 +21,9 @@ between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
+from ._record import Record
 from .duality import (
     BarClass,
     DualPair,
@@ -43,8 +43,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(Record):
     id: str
     n_orbit: str
     rho: str
@@ -53,8 +52,7 @@ class Parameter:
     az_partner: str = ""
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class ParameterSet(Record):
     """Parameters sharing one infinitesimal-character orbit in the dual group."""
 
     ic_orbit: str
@@ -175,8 +173,7 @@ def weak_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     return sorted(by_wavefront, key=natural_key)
 
 
-@dataclass(frozen=True)
-class JiangReport:
+class JiangReport(Record):
     """Per-member wavefront equalities and the global lower bound."""
 
     ic_orbit: str

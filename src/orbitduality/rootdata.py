@@ -9,14 +9,14 @@ in exact integer arithmetic throughout.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._record import Record
 
 SUPPORTED_TYPES = ("A", "B", "C", "D", "F4", "G2")
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """Finite root system of a fixed type, described by its Cartan matrix.
 
     ``cartan[i][j]`` is the pairing of the j-th simple root with the i-th
@@ -88,8 +88,7 @@ def root_system(label: str, rank: int | None = None) -> RootSystem:
     return RootSystem(label, rank, tuple(tuple(r) for r in m))
 
 
-@dataclass(frozen=True, order=True)
-class Coweight:
+class Coweight(Record, order=True):
     """Element of the rational coweight space, stored as 2w."""
 
     twice: tuple[int, ...]

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,9 +15,8 @@ from test_data import FIELD_PATHS, REPLACEMENTS
 from orbitduality import cli, data
 
 BUNDLE = None
-GOLDEN_CLI = (
-    Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "f4_cli.json"
-)
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_CLI = ROOT / "perfbench" / "golden" / "f4_cli.json"
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,19 @@ def test_normalize_label():
     assert cli.normalize_label("Ã1") == "~A1"  # combining tilde
     assert cli.normalize_label("F4(a₃)") == "F4(a3)"  # subscript digit
     assert cli.normalize_label("~A1+A2") == "~A1+A2"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """Every CLI call pays for what importing the CLI loads.  ``-S`` keeps
+    site ``.pth`` files from loading or hiding any of these modules."""
+    code = "import sys, orbitduality.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "orbitduality.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
 
 
 def test_dual(capsys, bundle_path):

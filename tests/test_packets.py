@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -138,6 +137,34 @@ def test_check_jiang_empty_set_vacuous(f4_pair):
     assert check_jiang(f4_pair, empty).passed
 
 
+def test_pass_does_not_fix_which_class_goes_to_which_orbit(
+    f4_doc, f4_pair, f4_params
+):
+    """Of the 120 ways to hand out the five non-trivial d_s targets, the
+    validator and check_jiang accept the 24 relabellings of F4(a3)'s four
+    classes; only the shipped table keeps every wavefront at F4(a3)."""
+    nontrivial = [(o, c) for o, t in f4_doc["d_s"].items() for c in t if c != "1"]
+    assert nontrivial[-1] == ("F4(a1)", "(12)")
+    targets = tuple(f4_doc["d_s"][o][c] for o, c in nontrivial)
+    shipped = [cuwf(f4_pair, f4_params, x) for x in f4_params]
+    accepted, same_wavefronts = [], []
+    for perm in itertools.permutations(targets):
+        for (o, c), t in zip(nontrivial, perm):
+            f4_doc["d_s"][o][c] = t
+        bundle = data.parse_bundle(json.dumps(f4_doc))
+        if not data.validate_bundle(bundle).passed:
+            continue
+        pair, ps = data.dual_pair(bundle), data.parameter_set(bundle, "F4(a3)")
+        if not check_jiang(pair, ps).passed:
+            continue
+        accepted.append(perm)
+        if [cuwf(pair, ps, x) for x in ps] == shipped:
+            same_wavefronts.append(perm)
+    assert len(accepted) == 24
+    assert {perm[-1] for perm in accepted} == {"A1"}
+    assert same_wavefronts == [targets]
+
+
 def test_unknown_parameter(f4_params):
     with pytest.raises(UnknownLabelError):
         f4_params.get("X99")
@@ -151,8 +178,7 @@ def test_unhashable_class_or_parameter_id_is_unknown(f4_pair, f4_params):
 
 
 def test_parameter_set_index_is_not_a_field():
-    names = [f.name for f in dataclasses.fields(ParameterSet)]
-    assert names == ["ic_orbit", "params"]
+    assert list(ParameterSet.__match_args__) == ["ic_orbit", "params"]
     x = Parameter("X1", "0", "", az_partner="X1")
     ps = ParameterSet("F4(a3)", (x,))
     assert ps.get("X1") is x
