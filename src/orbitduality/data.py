@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from functools import wraps
-from importlib import resources
 
 from ._record import Record
 from .duality import DualPair, _DualityTable, normalize_class, pair_leq
@@ -21,7 +20,7 @@ from .errors import (
     SchemaError,
     UnknownLabelError,
 )
-from .orbits import BundlePoset
+from .orbits import BundlePoset, duality_failures, order_failures
 from .packets import Parameter, ParameterSet
 from .rootdata import Coweight, positive_roots, root_pairing, root_system
 
@@ -386,15 +385,11 @@ def _check(fn):
 
 @_check
 def _check_closure_order(poset, flags):
-    problems = []
-    for a in poset.labels:
-        for b in poset.labels:
-            if a < b and poset.leq(a, b) and poset.leq(b, a):
-                problems.append(
-                    f"antisymmetry violated: {a} <= {b} and {b} <= {a}"
-                )
-    if problems:
-        return False, _brief(problems)
+    bad = order_failures(poset)
+    if bad:
+        return False, _brief(
+            f"antisymmetry violated: {a} <= {b} and {b} <= {a}" for a, b in bad
+        )
     zero = poset.zero()
     reg = poset.regular()
     if zero != "0":
@@ -446,36 +441,11 @@ def _check_ds_table(bundle, poset, dual_labels):
     return True, "total and surjective"
 
 
-def _check_ds_tables(bundle, poset, dual_bundle, dual_poset):
-    """The ds_table check of the bundle, then of a separate dual bundle,
-    whose values must name orbits of the bundle's group; the first
-    failure wins."""
-    dual_labels = dual_poset.labels if dual_poset is not None else None
-    result = _check_ds_table(bundle, poset, dual_labels)
-    if not result.passed or dual_bundle is None:
-        return result
-    dual = _check_ds_table(dual_bundle, dual_poset, poset.labels)
-    if dual.passed:
-        return result
-    return CheckResult("ds_table", False, "dual bundle: " + dual.details)
-
-
 @_check
 def _check_d_duality(poset, dual):
-    bad_cube = [
-        a for a in poset.labels
-        if poset.d(dual.d(poset.d(a))) != poset.d(a)
-    ]
-    if bad_cube:
-        return False, "d^3 != d at " + _brief(bad_cube)
-    bad_rev = [
-        f"{a} <= {b}"
-        for a in poset.labels
-        for b in poset.labels
-        if poset.leq(a, b) and not dual.leq(poset.d(b), poset.d(a))
-    ]
-    if bad_rev:
-        return False, "order reversal fails at " + _brief(bad_rev)
+    failure = duality_failures(poset, dual)
+    if failure:
+        return False, f"{failure[0]} at {_brief(failure[1])}"
     return True, "d^3 = d and d order-reversing"
 
 
@@ -595,13 +565,21 @@ def validate_bundle(
         for c in (
             _check_closure_order(poset, flags),
             _check_bar_classes(poset),
-            _check_ds_tables(bundle, poset, dual_bundle, dual_poset),
+            _check_ds_table(bundle, poset, dual_poset and dual_poset.labels),
             _check_weighted_dynkin(poset),
             _check_dynkin_dims(poset),
             _check_az_links(bundle),
             _check_parameter_orbits(bundle, poset),
         )
     }
+    # a separate dual bundle's failure shows where the bundle's own passed
+    if dual_bundle is not None:
+        dual_flags = {o.label: o.special for o in dual_bundle.orbits}
+        for dual in (_check_closure_order(dual_poset, dual_flags),
+                     _check_ds_table(dual_bundle, dual_poset, poset.labels)):
+            if checks[dual.name].passed and not dual.passed:
+                detail = "dual bundle: " + dual.details
+                checks[dual.name] = CheckResult(dual.name, False, detail)
     if dual_poset is None:
         checks["d_duality"] = CheckResult(
             "d_duality", True, "skipped: no dual-group data"
@@ -690,6 +668,8 @@ def serialize_bundle(bundle: GroupBundle) -> str:
 
 
 def builtin_bundle_text(name: str) -> str:
+    from importlib import resources  # only here: slow to import for the CLI
+
     ref = resources.files("orbitduality").joinpath(f"bundles/{name}.json")
     return ref.read_text(encoding="utf-8")
 

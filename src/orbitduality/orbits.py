@@ -10,8 +10,8 @@ data bundle.
 Type D partitions with all parts even correspond to two orbits; they are
 decorated ``I``/``II``, treated as incomparable to each other, with
 identical closures below, and the duality map carries the decoration
-across.  Image comparisons (specialness, the d^3 = d law) ignore the
-decoration, matching the coarse table data we ship.
+across.  Specialness ignores the decoration, matching the coarse table
+data we ship; the d^3 = d law (``duality_failures``) compares exactly.
 """
 
 from __future__ import annotations
@@ -174,6 +174,35 @@ def _strip_decoration(label: str) -> str:
         if label.endswith(suffix):
             return label[: -len(suffix)]
     return label
+
+
+# -- poset laws --------------------------------------------------------------
+
+def order_failures(poset: NilpotentPoset) -> list[tuple[str, str]]:
+    """The pairs a < b (as strings) that break antisymmetry."""
+    return [(a, b) for a in poset.labels for b in poset.labels
+            if a < b and poset.leq(a, b) and poset.leq(b, a)]
+
+
+def duality_failures(poset: NilpotentPoset, dual: NilpotentPoset):
+    """The first law of ``d`` that fails, as (what fails, where), or None.
+
+    In order: d^3 = d, exactly; d reverses the closure order; the special
+    orbits are the image of the dual's ``d``, up to ``same_image``.
+    """
+    bad = [a for a in poset.labels if poset.d(dual.d(poset.d(a))) != poset.d(a)]
+    if bad:
+        return "d^3 != d", bad
+    bad = [f"{a} <= {b}" for a in poset.labels for b in poset.labels
+           if poset.leq(a, b) and not dual.leq(poset.d(b), poset.d(a))]
+    if bad:
+        return "order reversal fails", bad
+    image = {_strip_decoration(dual.d(b)) for b in dual.labels}
+    bad = [a for a in poset.labels if poset.same_image(dual.d(poset.d(a)), a)
+           != (_strip_decoration(a) in image)]
+    if bad:
+        return "specials differ from the image of d", bad
+    return None
 
 
 # -- classical posets -------------------------------------------------------

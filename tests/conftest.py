@@ -12,6 +12,14 @@ settings.register_profile(
 settings.load_profile("orbitduality")
 
 
+# classical (family, rank) pairs, type D from rank 2: the poset laws are
+# cheap to rank 10; special pieces, cubic in the orbit count, stay at rank 6,
+# and at rank 4 with the acceptance suite's brute force
+LAW_RANKS = [(f, r) for f in "ABCD" for r in range(1 + (f == "D"), 11)]
+PIECE_RANKS = [(f, r) for f, r in LAW_RANKS if r <= 6]
+ACCEPTANCE_RANKS = [(f, r) for f, r in LAW_RANKS if r <= 4]
+
+
 @pytest.fixture(scope="session")
 def f4_bundle():
     return data.load_builtin_bundle("f4")

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import ACCEPTANCE_RANKS, LAW_RANKS
 from orbitduality import data
 from orbitduality import partitions as pt
 from orbitduality.duality import (
@@ -20,7 +21,7 @@ from orbitduality.duality import (
     sommers_dual,
 )
 from orbitduality.errors import BundleValidationError
-from orbitduality.orbits import classical_poset
+from orbitduality.orbits import classical_poset, duality_failures, order_failures
 from orbitduality.packets import (
     arthur_packet,
     az_dual,
@@ -61,11 +62,6 @@ EXPECTED_CUWF = {
 ARTHUR = ["X5", "X13", "X17", "X19", "X20"]
 WEAK = ["X5", "X7", "X8", "X9", "X11", "X13", "X15", "X17", "X18", "X19", "X20"]
 PIECE = {"F4(a3)", "C3(a1)", "B2", "A1+~A2", "~A1+A2"}
-
-CLASSICAL = [("A", r) for r in range(1, 5)] + \
-    [("B", r) for r in range(1, 5)] + \
-    [("C", r) for r in range(1, 5)] + \
-    [("D", r) for r in range(2, 5)]
 
 
 def report(num, label, elapsed):
@@ -142,15 +138,7 @@ def _identity_suite(pair: DualPair):
         assert achar_dual(pair, achar_dual(flip, once)) == once
         if is_special_pair(pair, bc):
             assert achar_dual(flip, once) == bc
-    for a in pair.g.labels:
-        assert pair.g.same_image(
-            pair.g.d(pair.gd.d(pair.g.d(a))), pair.g.d(a)
-        )
-        for b in pair.g.labels:
-            if pair.g.leq(a, b):
-                assert pair.gd.leq(pair.g.d(b), pair.g.d(a))
-        if pair.g.is_special(a):
-            assert pair.g.same_image(pair.gd.d(pair.g.d(a)), a)
+    assert duality_failures(pair.g, pair.gd) is None
     for x in classes:
         ex = embed(pair, x)
         dx = achar_dual(pair, x)
@@ -173,7 +161,7 @@ def test_criterion_5_duality_identities(f4_pair):
 
 def test_criterion_6_special_pieces(f4_pair, f4_params):
     start = time.perf_counter()
-    posets = [f4_pair.g] + [classical_poset(f, r) for f, r in CLASSICAL]
+    posets = [f4_pair.g] + [classical_poset(f, r) for f, r in ACCEPTANCE_RANKS]
     for poset in posets:
         pieces = {poset.special_piece(a) for a in poset.labels}
         seen = sorted(a for piece in pieces for a in piece)
@@ -195,7 +183,7 @@ def test_criterion_6_special_pieces(f4_pair, f4_params):
 
 def test_criterion_7_classical_brute_force(f4_pair):
     start = time.perf_counter()
-    for family, rank in CLASSICAL:
+    for family, rank in ACCEPTANCE_RANKS:
         if family == "A":
             continue
         n = {"B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}[family]
@@ -212,17 +200,14 @@ def test_criterion_7_classical_brute_force(f4_pair):
                 assert pt.dominates(p, q) == pt.dominates(
                     pt.transpose(q), pt.transpose(p)
                 )
-    for family, rank in CLASSICAL:
+    for family, rank in LAW_RANKS:
         p = classical_poset(family, rank)
-        q = p.dual
-        for a in p.labels:
-            assert p.same_image(p.d(q.d(p.d(a))), p.d(a))
-            for b in p.labels:
-                if p.leq(a, b):
-                    assert q.leq(p.d(b), p.d(a))
+        assert order_failures(p) == [], p.group_id
+        assert duality_failures(p, p.dual) is None, p.group_id
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.3f}s, budget 10s"
-    report(7, "classical collapse/transpose/duality vs brute force, ranks <= 4", elapsed)
+    report(7, "classical collapse/transpose vs brute force to rank 4, "
+              "poset laws to rank 10", elapsed)
 
 
 def test_criterion_8_infinitesimal_character_pairs(f4_pair):

@@ -49,7 +49,9 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
     assert "orbitduality.cli" in loaded
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
+    assert not {
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources"
+    } & set(loaded)
 
 
 def test_dual(capsys, bundle_path):
@@ -261,8 +263,8 @@ def test_missing_dual_bundle_exits_2(capsys, tmp_path, command):
 def test_dual_bundle_breaking_the_packet_laws_exits_2(
     capsys, tmp_path, bundle_path, command
 ):
-    # a dual bundle's closure order is not validated, so this one passes
-    # validation and only the packet laws notice the cover F4(a2) < B2
+    # the cover F4(a2) < B2 leaves the dual bundle two minimal orbits, so
+    # its closure order fails and the packet queries never run
     doc = json.loads(data.builtin_bundle_text("f4"))
     doc["closure"][doc["closure"].index(["B2", "C3(a1)"])] = ["F4(a2)", "B2"]
     partner = tmp_path / "partner.json"
@@ -270,9 +272,14 @@ def test_dual_bundle_breaking_the_packet_laws_exits_2(
     code, out, err = run_cli(
         capsys, "--bundle", bundle_path, "--dual-bundle", str(partner), *command
     )
-    assert code == 2
-    assert out == ""
-    assert err.count("error:") == 1 and "Traceback" not in err
+    assert code == 2 and "Traceback" not in err
+    detail = "dual bundle: group F4 has no unique extreme orbit"
+    if command == ["verify"]:
+        assert f"FAIL closure_order: {detail}\n" in out and "FAIL (6/8 checks)" in out
+    elif command[-1] == "verify":
+        assert json.loads(out)["validation"]["checks"][0]["details"] == detail
+    else:
+        assert out == "" and err.count("error:") == 1
 
 
 COMMANDS = [

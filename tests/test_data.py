@@ -551,6 +551,19 @@ def test_main_ds_table_failure_wins_over_dual_bundle(f4_doc):
     assert ds.details.startswith("not total: missing (A1, 1)")
 
 
+def test_dual_bundle_closure_order_reads_its_own_flags(f4_doc):
+    f4_doc["dual_group"] = "F4-partner"
+    partner = json.loads(json.dumps(f4_doc))
+    partner["orbits"][0]["special"] = False
+    dual = data.parse_bundle(json.dumps(partner))
+    report = data.validate_bundle(data.parse_bundle(json.dumps(f4_doc)), dual)
+    assert [(c.name, c.details) for c in report.failures()][0] == (
+        "closure_order", "dual bundle: zero orbit 0 is not flagged special")
+    f4_doc["orbits"][-1]["special"] = False  # the bundle's own failure wins
+    report = data.validate_bundle(data.parse_bundle(json.dumps(f4_doc)), dual)
+    assert report.failures()[0].details == "regular orbit F4 is not flagged special"
+
+
 def test_non_self_dual_without_dual_skips_duality_checks(f4_doc):
     f4_doc["dual_group"] = "F4-partner"
     bundle = data.parse_bundle(json.dumps(f4_doc))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import LAW_RANKS, PIECE_RANKS
 from orbitduality import data
 from orbitduality import partitions as pt
 from orbitduality.errors import (
@@ -12,27 +13,18 @@ from orbitduality.errors import (
 from orbitduality.orbits import (
     BundlePoset,
     ClassicalPoset,
+    NilpotentPoset,
     bvls_dual,
     classical_poset,
     closure_leq,
+    duality_failures,
     is_special,
+    order_failures,
     parse_partition_label,
     partition_label,
     special_closure,
     special_piece_of,
 )
-
-CLASSICAL = [("A", r) for r in range(1, 7)] + \
-    [("B", r) for r in range(1, 7)] + \
-    [("C", r) for r in range(1, 7)] + \
-    [("D", r) for r in range(2, 7)]
-
-
-def strip_dec(label):
-    for suffix in ("II", "I"):
-        if label.endswith(suffix):
-            return label[: -len(suffix)]
-    return label
 
 
 def test_partition_labels_round_trip():
@@ -55,7 +47,7 @@ def test_zero_and_regular_orbits():
     assert b2.regular() == "(5)"
     d3 = classical_poset("D", 3)
     assert d3.regular() == "(5,1)"
-    for fam, rank in CLASSICAL:
+    for fam, rank in PIECE_RANKS:
         p = classical_poset(fam, rank)
         z, r = p.zero(), p.regular()
         assert all(p.leq(z, a) and p.leq(a, r) for a in p.labels)
@@ -87,29 +79,56 @@ def test_type_a_dual_is_transpose():
 
 
 def test_classical_duality_laws():
-    for fam, rank in CLASSICAL:
+    for fam, rank in LAW_RANKS:
         p = classical_poset(fam, rank)
-        q = p.dual
-        for a in p.labels:
-            # d^3 = d
-            assert p.same_image(p.d(q.d(p.d(a))), p.d(a)), (fam, rank, a)
-        for a in p.labels:
-            for b in p.labels:
-                if p.leq(a, b):
-                    assert q.leq(p.d(b), p.d(a)), (fam, rank, a, b)
+        assert order_failures(p) == [], p.group_id
+        assert duality_failures(p, p.dual) is None, p.group_id
 
 
-def test_classical_specials_match_brute_force_image():
-    for fam, rank in CLASSICAL:
-        p = classical_poset(fam, rank)
-        q = p.dual
-        image = {strip_dec(q.d(b)) for b in q.labels}
-        fixed = {strip_dec(a) for a in p.labels if p.is_special(a)}
-        assert image == fixed, (fam, rank)
+def _variant(poset, d=(), order=()):
+    """A bare poset on poset's labels, order and d, with the (lo, hi)
+    pairs in order added and d(a) = b for each (a, b) in d."""
+    ls = poset.labels
+    leq = {(a, b) for a in ls for b in ls if poset.leq(a, b)} | set(order)
+    ds = {(a, "1"): dict(d).get(a, poset.d(a)) for a in ls}
+    return NilpotentPoset(poset.group_id, ls, leq, {}, ds)
+
+
+B6 = classical_poset("B", 6)
+
+
+@pytest.mark.parametrize("g,gd,law,first", [
+    # two d values swapped, twice; then the dual's d sending a non-special
+    # C6 orbit to the non-special (6,6,1)
+    (_variant(B6, [("(13)", B6.d("(11,1,1)")), ("(11,1,1)", B6.d("(13)"))]),
+     B6.dual, "d^3 != d", "(13)"),
+    (_variant(B6, [("(6,6,1)", B6.d("(5,3,2,2,1)")),
+                   ("(5,3,2,2,1)", B6.d("(6,6,1)"))]),
+     B6.dual, "order reversal fails", "(5,5,3) <= (6,6,1)"),
+    (B6, _variant(B6.dual, [("(10,1,1)", "(6,6,1)")]),
+     "specials differ from the image of d", "(6,6,1)"),
+], ids=["d-cubed", "order-reversal", "specials-image"])
+def test_duality_failures_names_the_first_broken_law(g, gd, law, first):
+    found, where = duality_failures(g, gd)
+    assert (found, where[0]) == (law, first)
+
+
+def test_order_failures_names_a_reversed_pair():
+    zero, reg = B6.zero(), B6.regular()
+    assert order_failures(_variant(B6, order=[(reg, zero)])) == [(zero, reg)]
+
+
+def test_d_cubed_is_exact_on_type_d_twins():
+    # twins exist at even rank and keep their decoration under d∘d'∘d, so
+    # the exact comparison in duality_failures agrees with same_image
+    for rank in range(2, 11):
+        p = classical_poset("D", rank)
+        assert any(a.endswith("I") for a in p.labels) == (rank % 2 == 0)
+        assert all(p.d(p.dual.d(p.d(a))) == p.d(a) for a in p.labels), rank
 
 
 def test_special_closure_properties():
-    posets = [classical_poset(f, r) for f, r in CLASSICAL]
+    posets = [classical_poset(f, r) for f, r in PIECE_RANKS]
     for p in posets:
         for a in p.labels:
             top = special_closure(p, a)
@@ -121,7 +140,7 @@ def test_special_closure_properties():
 
 
 def test_special_pieces_partition_classical():
-    for fam, rank in CLASSICAL:
+    for fam, rank in PIECE_RANKS:
         p = classical_poset(fam, rank)
         pieces = {special_piece_of(p, a) for a in p.labels}
         seen = [a for piece in pieces for a in piece]
