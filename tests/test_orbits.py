@@ -85,6 +85,24 @@ def test_classical_duality_laws():
         assert duality_failures(p, p.dual) is None, p.group_id
 
 
+def strip_dec(label):
+    for suffix in ("II", "I"):
+        if label.endswith(suffix):
+            return label[: -len(suffix)]
+    return label
+
+
+def test_classical_specials_match_brute_force_image():
+    # an independent check of the law duality_failures checks: the specials,
+    # decorations dropped, are exactly the image of the dual's d
+    for fam, rank in LAW_RANKS:
+        p = classical_poset(fam, rank)
+        q = p.dual
+        image = {strip_dec(q.d(b)) for b in q.labels}
+        fixed = {strip_dec(a) for a in p.labels if p.is_special(a)}
+        assert image == fixed, (fam, rank)
+
+
 def _variant(poset, d=(), order=()):
     """A bare poset on poset's labels, order and d, with the (lo, hi)
     pairs in order added and d(a) = b for each (a, b) in d."""
