@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 domain errors (unknown labels, missing entries),
 2 I/O, schema, or validation failures.
+
+Every call compiles what it imports, so ``packets`` is imported only in
+the branches that run a packet query.
 """
 
 from __future__ import annotations
@@ -18,14 +21,6 @@ from .errors import (
     OrbitDualityError,
     SchemaError,
     UnknownLabelError,
-)
-from .packets import (
-    arthur_packet,
-    az_dual,
-    check_jiang,
-    cuwf,
-    natural_key,
-    weak_packet,
 )
 
 EXIT_OK = 0
@@ -138,6 +133,8 @@ def _verify(args, bundle, pair: DualPair, report) -> int:
     jiang_lines = []
     jiang_payload = []
     if ok:
+        from .packets import check_jiang  # here: a failing verify never loads it
+
         for ps in bundle.parameter_sets:
             jr = check_jiang(pair, ps)
             ok = ok and jr.passed
@@ -202,13 +199,13 @@ def _dispatch(args, bundle, pair: DualPair) -> int:
         )
 
     elif args.command == "packet":
+        from .packets import _arthur_packet_cuwfs
+
         ic = normalize_label(args.ic_orbit)
         ps = data.parameter_set(bundle, ic)
-        members = arthur_packet(pair, ps)
         lines = []
         payload = {"ic_orbit": ic, "members": []}
-        for pid in members:
-            wf = cuwf(pair, ps, ps.get(pid))
+        for pid, wf in _arthur_packet_cuwfs(pair, ps):
             lines.append(f"{pid}  cuwf={_format_barclass(wf)}")
             payload["members"].append(
                 {"id": pid, "cuwf": {"orbit": wf[0], "class": wf[1]}}
@@ -216,6 +213,8 @@ def _dispatch(args, bundle, pair: DualPair) -> int:
         _emit(fmt, lines, payload)
 
     elif args.command == "weak-packet":
+        from .packets import az_dual, weak_packet
+
         ic = normalize_label(args.ic_orbit)
         ps = data.parameter_set(bundle, ic)
         members = weak_packet(pair, ps)
@@ -252,7 +251,7 @@ def _dispatch(args, bundle, pair: DualPair) -> int:
                 }
             )
         for ps in bundle.parameter_sets:
-            for x in sorted(ps, key=lambda x: natural_key(x.id)):
+            for x in sorted(ps, key=lambda x: data.natural_key(x.id)):
                 lines.append(
                     f"{x.id}  n_orbit={x.n_orbit}  rho={x.rho}  az={x.az_partner}"
                 )
@@ -271,6 +270,8 @@ def _dispatch(args, bundle, pair: DualPair) -> int:
 
 
 def _param_wavefront(bundle, pair, param_id):
+    from .packets import cuwf
+
     for ps in bundle.parameter_sets:
         try:
             x = ps.get(param_id)

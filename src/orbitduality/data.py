@@ -21,7 +21,6 @@ from .errors import (
     UnknownLabelError,
 )
 from .orbits import BundlePoset, duality_failures, order_failures
-from .packets import Parameter, ParameterSet
 from .rootdata import Coweight, positive_roots, root_pairing, root_system
 
 FORMAT_VERSION = 1
@@ -32,6 +31,54 @@ class OrbitRecord(Record):
     special: bool
     dim: int | None = None
     weighted_dynkin: tuple[int, ...] | None = None
+
+
+class Parameter(Record):
+    id: str
+    n_orbit: str
+    rho: str
+    iwahori: bool = True
+    unitary: bool | None = None
+    az_partner: str = ""
+
+
+class ParameterSet(Record):
+    """Parameters sharing one infinitesimal-character orbit in the dual group."""
+
+    ic_orbit: str
+    params: tuple[Parameter, ...]
+
+    def __post_init__(self):
+        # an index beside the fields: not a constructor argument, not compared
+        object.__setattr__(self, "_by_id", {x.id: x for x in self.params})
+
+    def __iter__(self):
+        return iter(self.params)
+
+    def get(self, param_id: str) -> Parameter:
+        try:
+            return self._by_id[param_id]
+        except (KeyError, TypeError):  # TypeError: unhashable, so not an id
+            raise UnknownLabelError(f"unknown parameter id {param_id!r}") from None
+
+    def ids(self) -> list[str]:
+        return [x.id for x in self.params]
+
+
+def natural_key(param_id: str):
+    """Sort X2 before X13: split runs of digits into integers."""
+    key, num = [], ""
+    for ch in param_id:
+        if ch.isdigit():
+            num += ch
+        else:
+            if num:
+                key.append((1, int(num)))
+                num = ""
+            key.append((0, ch))
+    if num:
+        key.append((1, int(num)))
+    return key
 
 
 class GroupBundle(Record):
@@ -486,8 +533,8 @@ def _check_dynkin_dims(poset):
         d = poset.dim(label)
         if w is None or d is None:
             continue
-        g0 = sum(1 for r in pos if root_pairing(r, w) == 0)
-        g1 = sum(1 for r in pos if root_pairing(r, w) == 2)
+        pairings = [root_pairing(r, w) for r in pos]
+        g0, g1 = pairings.count(0), pairings.count(2)
         expect = dim_g - (2 * g0 + rs.rank) - g1
         if expect != d:
             bad.append(f"{label}: dim {d} vs {expect} from weighted Dynkin")

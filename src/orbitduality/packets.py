@@ -7,7 +7,8 @@ the Bernstein-block involution.  Everything here is computed from the
 orbit data: temperedness compares orbits, the wavefront invariant is the
 refined dual of the partner's orbit at the trivial class, and the two
 packet notions are sublevel sets of that invariant and of its coarse
-first projection.
+first projection.  ``Parameter`` and ``ParameterSet`` are defined in
+``data``, which parses them, and imported here.
 
 One packet query (``arthur_packet``, ``weak_packet`` or ``check_jiang``)
 builds one refined-duality table, at most 2·|B| Sommers-table lookups for
@@ -24,6 +25,7 @@ from __future__ import annotations
 from operator import mul
 
 from ._record import Record
+from .data import Parameter, ParameterSet, natural_key
 from .duality import (
     BarClass,
     DualPair,
@@ -41,54 +43,6 @@ from .rootdata import (
     invariant_form,
     weyl_conjugate,
 )
-
-
-class Parameter(Record):
-    id: str
-    n_orbit: str
-    rho: str
-    iwahori: bool = True
-    unitary: bool | None = None
-    az_partner: str = ""
-
-
-class ParameterSet(Record):
-    """Parameters sharing one infinitesimal-character orbit in the dual group."""
-
-    ic_orbit: str
-    params: tuple[Parameter, ...]
-
-    def __post_init__(self):
-        # an index beside the fields: not a constructor argument, not compared
-        object.__setattr__(self, "_by_id", {x.id: x for x in self.params})
-
-    def __iter__(self):
-        return iter(self.params)
-
-    def get(self, param_id: str) -> Parameter:
-        try:
-            return self._by_id[param_id]
-        except (KeyError, TypeError):  # TypeError: unhashable, so not an id
-            raise UnknownLabelError(f"unknown parameter id {param_id!r}") from None
-
-    def ids(self) -> list[str]:
-        return [x.id for x in self.params]
-
-
-def natural_key(param_id: str):
-    """Sort X2 before X13: split runs of digits into integers."""
-    key, num = [], ""
-    for ch in param_id:
-        if ch.isdigit():
-            num += ch
-        else:
-            if num:
-                key.append((1, int(num)))
-                num = ""
-            key.append((0, ch))
-    if num:
-        key.append((1, int(num)))
-    return key
 
 
 def is_tempered(ps: ParameterSet, x: Parameter) -> bool:
@@ -142,6 +96,18 @@ def _arthur_packet(
             f"tempered-dual {sorted(by_tempered_dual)}"
         )
     return sorted(by_wavefront, key=natural_key)
+
+
+def _arthur_packet_cuwfs(
+    pair: DualPair, ps: ParameterSet
+) -> list[tuple[str, BarClass]]:
+    """``arthur_packet``'s members, each with its ``cuwf``, all read from
+    the one table that the packet query fills."""
+    table = _DualityTable()
+    return [
+        (pid, _wavefront(table, pair, az_dual(ps, ps.get(pid)).n_orbit))
+        for pid in _arthur_packet(pair, ps, table)
+    ]
 
 
 def arthur_packet(pair: DualPair, ps: ParameterSet) -> list[str]:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 from orbitduality import data
+from orbitduality.orbits import NilpotentPoset
 
 # reproducible property tests that keep no example database on disk
 settings.register_profile(
@@ -39,3 +40,17 @@ def f4_params(f4_bundle):
 def f4_doc():
     """Mutable plain-dict copy of the shipped bundle document."""
     return json.loads(data.builtin_bundle_text("f4"))
+
+
+@pytest.fixture()
+def sommers_calls(monkeypatch):
+    calls = []
+    real = NilpotentPoset.sommers
+
+    def counted(self, label, class_label):
+        calls.append((label, class_label))
+        return real(self, label, class_label)
+
+    # every table read, ``d``'s included, goes through the base method
+    monkeypatch.setattr(NilpotentPoset, "sommers", counted)
+    return calls

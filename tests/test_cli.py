@@ -39,19 +39,72 @@ def test_normalize_label():
     assert cli.normalize_label("~A1+A2") == "~A1+A2"
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    """Every CLI call pays for what importing the CLI loads.  ``-S`` keeps
-    site ``.pth`` files from loading or hiding any of these modules."""
-    code = "import sys, orbitduality.cli; print(*sorted(sys.modules))"
+def run_fresh(code: str) -> str:
+    """The last line ``code`` prints in a fresh interpreter.  ``-S`` keeps
+    site ``.pth`` files from loading or hiding any module."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    loaded = subprocess.run(
+    out = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=env, capture_output=True, text=True, check=True,
-    ).stdout.split()
+    ).stdout
+    return out.splitlines()[-1]
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    return set(run_fresh(code + "\nimport sys; print(*sorted(sys.modules))").split())
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """Every CLI call pays for what importing the CLI loads."""
+    loaded = modules_after("import orbitduality.cli")
     assert "orbitduality.cli" in loaded
     assert not {
         "dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources"
-    } & set(loaded)
+    } & loaded
+
+
+def test_package_import_loads_no_submodule():
+    loaded = modules_after("import orbitduality")
+    assert "orbitduality" in loaded
+    assert not {m for m in loaded if m.startswith("orbitduality.")}
+
+
+def test_orbits_import_leaves_out_bundle_and_packet_layers():
+    # a classical worker needs only the orbit layer
+    loaded = modules_after("from orbitduality import orbits")
+    assert "orbitduality.orbits" in loaded
+    assert not {
+        "orbitduality.data", "orbitduality.duality", "orbitduality.packets",
+        "orbitduality.cli",
+    } & loaded
+
+
+@pytest.mark.parametrize(
+    "broken, argv, exit_code, loads_packets",
+    [
+        (False, ["dual", "0"], 0, False),
+        (False, ["list"], 0, False),
+        (True, ["verify"], 2, False),
+        (False, ["packet", "F4(a3)"], 0, True),
+        (False, ["verify"], 0, True),
+    ],
+    ids=["dual", "list", "verify-broken", "packet", "verify"],
+)
+def test_cli_loads_packets_only_to_run_a_packet_query(
+    bundle_path, tmp_path, broken, argv, exit_code, loads_packets
+):
+    path = bundle_path
+    if broken:
+        doc = json.loads(data.builtin_bundle_text("f4"))
+        doc["closure"].append(["F4", "A1"])
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    args = ["--bundle", str(path)] + argv
+    loaded = modules_after(
+        f"import orbitduality.cli as cli\nassert cli.run({args!r}) == {exit_code}"
+    )
+    assert ("orbitduality.packets" in loaded) is loads_packets
 
 
 def test_dual(capsys, bundle_path):
@@ -95,6 +148,15 @@ def test_packet(capsys, bundle_path):
     assert code == 0
     ids = [line.split()[0] for line in out.splitlines()]
     assert ids == ["X5", "X13", "X17", "X19", "X20"]
+
+
+def test_packet_reads_one_duality_table(capsys, bundle_path, sommers_calls):
+    # 431 reads validate the bundle; the packet and every member's cuwf
+    # then share one self-dual table, 21 reads, where a table per member
+    # would add 105
+    code, _, _ = run_cli(capsys, "--bundle", bundle_path, "packet", "F4(a3)")
+    assert code == 0
+    assert len(sommers_calls) == 452
 
 
 def test_weak_packet(capsys, bundle_path):

@@ -20,7 +20,7 @@ from orbitduality.errors import (
     NonUniqueCoverError,
     UnknownLabelError,
 )
-from orbitduality.orbits import BundlePoset, NilpotentPoset, classical_poset
+from orbitduality.orbits import BundlePoset, classical_poset
 from orbitduality.packets import arthur_packet, check_jiang, weak_packet
 
 GOLDEN_LIB = (
@@ -177,20 +177,6 @@ def test_refined_duality_matches_golden_answers(f4_pair):
         assert set(golden[kind]) == {f"{o}|{c}" for o, c in classes}
         for o, c in classes:
             assert list(fn(pair, (o, c))) == golden[kind][f"{o}|{c}"], (kind, o, c)
-
-
-@pytest.fixture()
-def sommers_calls(monkeypatch):
-    calls = []
-    real = NilpotentPoset.sommers
-
-    def counted(self, label, class_label):
-        calls.append((label, class_label))
-        return real(self, label, class_label)
-
-    # every table read, ``d``'s included, goes through the base method
-    monkeypatch.setattr(NilpotentPoset, "sommers", counted)
-    return calls
 
 
 def test_refined_duality_is_linear_in_bar_classes(f4_pair, sommers_calls):
