@@ -13,7 +13,7 @@ import json
 from functools import wraps
 
 from ._record import Record
-from .duality import DualPair, _DualityTable, normalize_class, pair_leq
+from .duality import DualPair, normalize_class, refined_duality_failures
 from .errors import (
     BundleValidationError,
     OrbitDualityError,
@@ -173,20 +173,22 @@ def parse_bundle(source) -> GroupBundle:
 
     Accepts a path, bytes, a JSON string, or a readable file object.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
-        text = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if hasattr(source, "read"):
+            text = source.read()
+        elif isinstance(source, bytes):
+            text = source.decode("utf-8")
+        elif isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
+            text = source
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"bundle document is not UTF-8: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"malformed bundle document: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("bundle document must be a JSON object")
@@ -276,12 +278,14 @@ def parse_bundle(source) -> GroupBundle:
     ps_docs = doc.get("parameter_sets", [])
     if not isinstance(ps_docs, list):
         raise SchemaError("parameter_sets must be a list")
+    ids = set()  # across all sets: the CLI's cuwf looks an id up in any set
     for ps_doc in ps_docs:
         ic = _need(ps_doc, "ic_orbit", str, "parameter set")
         if ic not in labels:
             raise SchemaError(f"parameter set references unknown orbit {ic!r}")
+        if any(ps.ic_orbit == ic for ps in param_sets):
+            raise SchemaError(f"duplicate parameter set at {ic!r}")
         params = []
-        ids = set()
         for pd in _need(ps_doc, "parameters", list, f"parameter set {ic}"):
             pid = _need(pd, "id", str, "parameter")
             if pid in ids:
@@ -569,36 +573,8 @@ def _check_parameter_orbits(bundle, poset):
 
 @_check
 def _check_duality_identities(pair: DualPair):
-    """Embedding injective, pr1∘D = d_S, D^3 = D and D order-reversing.
-
-    One refined-duality table answers every question, D on the dual side
-    only over the image of D, so each law is a table lookup; a self-dual
-    pair equals its flip, so its covers are searched once.
-    """
-    table = _DualityTable()
-    collision = table.collision(pair.g)
-    if collision is not None:
-        first, bc, img = collision
-        return False, f"embedding collision: {first} and {bc} both map to {img}"
-    embedded = table.pairs(pair.g)
-    refined = {bc: table.dual(pair, bc) for bc in embedded}
-    flip = pair.flip()
-    back = {b: table.dual(flip, b) for b in dict.fromkeys(refined.values())}
-    dual_embedded = table.pairs(pair.gd)
-    for bc, once in refined.items():
-        if embedded[bc][1] != once[0]:
-            return False, (
-                f"pr1 of the refined dual differs from the Sommers image at {bc}"
-            )
-        if refined[back[once]] != once:
-            return False, f"D^3 != D at {bc}"
-    for x in embedded:
-        for y in embedded:
-            if pair_leq(pair, embedded[x], embedded[y]) and not pair_leq(
-                flip, dual_embedded[refined[y]], dual_embedded[refined[x]]
-            ):
-                return False, f"refined duality not order-reversing on {x} <= {y}"
-    return True, "embedding injective, D^3 = D, pr1∘D = d_S"
+    failure = refined_duality_failures(pair)
+    return failure is None, failure or "embedding injective, D^3 = D, pr1∘D = d_S"
 
 
 def validate_bundle(

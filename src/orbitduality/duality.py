@@ -8,14 +8,11 @@ of its dual group; embedding a bar class as the pair
 refined duality, with a detour through the minimal special cover when
 the flipped pair is not itself in the image of the dual embedding.
 
-One private ``_DualityTable`` per call memoizes what that call needs:
-each poset's embedding, |B| Sommers-table lookups for |B| bar classes on
-first use, so a call costs at most 2·|B| lookups, |B| for a self-dual pair
-(21 on F4), and each minimal special cover.  Every question names its key:
-``pairs(poset)``, ``unembed(poset, target)``, ``collision(g)``,
-``cover(pair, bc)`` and ``dual(pair, bc)``.  ``achar_dual``,
-``min_special_cover``, ``is_special_pair``, the packet queries and the
-validator's identities check each build one; nothing is kept between calls.
+Each public call here (``achar_dual``, ``min_special_cover``,
+``is_special_pair``, ``wavefronts`` and ``refined_duality_failures``)
+computes from one table of its own: at most 2·|B| Sommers-table lookups
+for |B| bar classes, |B| for a self-dual pair (21 on F4), and each
+minimal special cover searched once.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -96,57 +93,39 @@ def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
 class _DualityTable:
     """Refined duality, memoized for the duration of one call.
 
-    Each answer is keyed by what it depends on.  A poset's tabulation, every
-    bar class's embedded pair in ``all_bar_classes`` order and each pair's
-    preimages, is keyed by poset: |B| Sommers lookups on first use.  A bar
-    class's minimal special cover is keyed by the oriented pair's two
-    posets and the class; a self-dual pair equals its flip, so both
-    orientations share one key, while distinct posets keep their own.  Bar
-    classes must already have passed ``pair.check``.
+    A poset's tabulation, every bar class's embedded pair in
+    ``all_bar_classes`` order and each pair's preimages, is keyed by
+    poset.  A minimal special cover is keyed by the oriented pair's two
+    posets and the bar class, so a self-dual pair shares it with its flip.
+    Bar classes must already have passed ``pair.check``.
     """
 
     def __init__(self):
         self._sides = {}  # poset -> (pairs, hits)
         self._covers = {}  # (g, gd, bar class) -> cover
 
-    def _side(self, poset: NilpotentPoset) -> tuple[dict, dict]:
+    def pairs(self, poset: NilpotentPoset, walked=None) -> dict[BarClass, OrbitPair]:
+        """``poset``'s embedded pairs: |B| Sommers lookups on first use, or
+        none when ``walked`` already holds them."""
         if poset not in self._sides:
-            pairs = {
+            pairs = walked or {
                 (o, c): (o, poset.sommers(o, c)) for o, c in all_bar_classes(poset)
             }
             hits: dict[OrbitPair, list[BarClass]] = {}
             for bc, p in pairs.items():
                 hits.setdefault(p, []).append(bc)
             self._sides[poset] = pairs, hits
-        return self._sides[poset]
-
-    def pairs(self, poset: NilpotentPoset) -> dict[BarClass, OrbitPair]:
-        return self._side(poset)[0]
+        return self._sides[poset][0]
 
     def unembed(self, poset: NilpotentPoset, target: OrbitPair) -> BarClass | None:
         """Inverse of embed on ``poset``, None when not hit."""
-        hits = self._side(poset)[1].get(target, ())
+        self.pairs(poset)
+        hits = self._sides[poset][1].get(target, ())
         if len(hits) > 1:
             raise InconsistentDataError(
                 f"embedding of {poset.group_id} is not injective at {target}"
             )
         return hits[0] if hits else None
-
-    def collision(self, g) -> tuple[BarClass, BarClass, OrbitPair] | None:
-        """The first bar class of ``g`` that lands on an earlier one's pair,
-        that earlier one and the pair; None when the embedding is injective.
-        Classes are embedded in order, so a collision is reported before a
-        later class's missing table entry; a full walk is ``g``'s
-        tabulation."""
-        seen = {}
-        for o, c in all_bar_classes(g):
-            p = (o, g.sommers(o, c))
-            if p in seen:
-                return seen[p], (o, c), p
-            seen[p] = (o, c)
-        pairs = {bc: p for p, bc in seen.items()}
-        self._sides[g] = pairs, {p: [bc] for bc, p in pairs.items()}
-        return None
 
     def cover(self, pair: DualPair, bc: BarClass) -> BarClass:
         """The unique smallest special bar class above bc."""
@@ -185,3 +164,56 @@ def achar_dual(pair: DualPair, bc: BarClass) -> BarClass:
     """Refined duality: embed the minimal special cover, flip, unembed."""
     bc = pair.check(bc)
     return _DualityTable().dual(pair, bc)
+
+
+def wavefronts(pair: DualPair, orbits):
+    """Yield ``(orbit, (D(orbit, 1), its embedded pair))`` for each
+    dual-side orbit in turn, D taken on ``pair.flip()`` and the pair in
+    ``pair.g``, all from one table; ``dict()`` of it is the map.
+
+    Each label is checked just before its own lookups, and the orbits are
+    read and answered one at a time, so a caller that tests each answer as
+    it comes sees errors in the order it asks.
+    """
+    table = _DualityTable()
+    dual = pair.flip()
+    for orbit in orbits:
+        bc = table.dual(dual, dual.check((orbit, "1")))
+        yield orbit, (bc, table.pairs(pair.g)[bc])
+
+
+def refined_duality_failures(pair: DualPair) -> str | None:
+    """The first law of D that fails on ``pair``, as a report, or None.
+
+    In order: the embedding of ``pair.g`` is injective, pr1∘D = d_S,
+    D^3 = D, and D reverses the order.  The injectivity walk goes in
+    bar-class order, so a collision is reported before a later class's
+    missing table entry and before the dual side is tabulated; the walk
+    is then the table's tabulation of ``pair.g``.  D on the flip is taken
+    only over the image of D; a self-dual pair equals its flip, so its
+    covers are searched once.
+    """
+    seen = {}
+    for bc in all_bar_classes(pair.g):
+        p = (bc[0], pair.g.sommers(*bc))
+        if p in seen:
+            return f"embedding collision: {seen[p]} and {bc} both map to {p}"
+        seen[p] = bc
+    table = _DualityTable()
+    embedded = table.pairs(pair.g, {bc: p for p, bc in seen.items()})
+    refined = {bc: table.dual(pair, bc) for bc in embedded}
+    flip = pair.flip()
+    back = {b: table.dual(flip, b) for b in dict.fromkeys(refined.values())}
+    dual_embedded = table.pairs(pair.gd)
+    for bc, once in refined.items():
+        if embedded[bc][1] != once[0]:
+            return f"pr1 of the refined dual differs from the Sommers image at {bc}"
+        if refined[back[once]] != once:
+            return f"D^3 != D at {bc}"
+    for x in embedded:
+        for y in embedded:
+            if pair_leq(pair, embedded[x], embedded[y]) and not pair_leq(
+                flip, dual_embedded[refined[y]], dual_embedded[refined[x]]
+            ):
+                return f"refined duality not order-reversing on {x} <= {y}"
+    return None

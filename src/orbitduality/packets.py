@@ -11,28 +11,21 @@ first projection.  ``Parameter`` and ``ParameterSet`` are defined in
 ``data``, which parses them, and imported here.
 
 One packet query (``arthur_packet``, ``weak_packet`` or ``check_jiang``)
-builds one refined-duality table, at most 2·|B| Sommers-table lookups for
-|B| bar classes, |B| for a self-dual pair (21 on F4), and reads the bound
-and every parameter's invariant from it: each invariant checks its bar
-class on ``pair.flip()``, then asks the table for ``dual`` on that pair;
-the g-side embedding is ``pairs(pair.g)``.  The table tabulates on first
-use, so a bad label is reported before a bad table.  Nothing is kept
-between calls.
+reads the bound and every parameter's invariant from one call of
+``duality.wavefronts``: one refined-duality table, at most 2·|B|
+Sommers-table lookups for |B| bar classes, |B| for a self-dual pair (21
+on F4).  Each orbit's label is checked just before its own lookups, in
+the order the query asks.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import mul
 
 from ._record import Record
 from .data import Parameter, ParameterSet, natural_key
-from .duality import (
-    BarClass,
-    DualPair,
-    _DualityTable,
-    achar_dual,
-    pair_leq,
-)
+from .duality import BarClass, DualPair, achar_dual, pair_leq, wavefronts
 from .errors import InconsistentDataError, UnknownLabelError
 from .orbits import NilpotentPoset
 from .rootdata import (
@@ -68,25 +61,25 @@ def geometric_wf(pair: DualPair, ps: ParameterSet, x: Parameter) -> str:
     return cuwf(pair, ps, x)[0]
 
 
-def _wavefront(table: _DualityTable, pair: DualPair, orbit: str) -> BarClass:
-    """D(orbit, 1) on ``pair.flip()``, the bar class checked first, so a bad
-    label is reported before anything is tabulated."""
-    dual = pair.flip()
-    return table.dual(dual, dual.check((orbit, "1")))
+def _partner_orbits(ps: ParameterSet):
+    return (az_dual(ps, x).n_orbit for x in ps)
 
 
-def _arthur_packet(
-    pair: DualPair, ps: ParameterSet, table: _DualityTable
-) -> list[str]:
-    ic_dual = _wavefront(table, pair, ps.ic_orbit)
-    embedded = table.pairs(pair.g)  # tabulated by that call
-    bound = embedded[ic_dual]
+def _invariant(found: dict, ps: ParameterSet, x: Parameter):
+    """x's wavefront invariant and its embedded pair, from a map of
+    ``wavefronts``."""
+    return found[az_dual(ps, x).n_orbit]
+
+
+def _arthur_packet(pair: DualPair, ps: ParameterSet) -> tuple[list[str], dict]:
+    """``arthur_packet``'s members and the map of ``wavefronts`` it read:
+    the bound at ic_orbit first, then every partner orbit."""
+    # read in full first: pair_leq never fails on answers of D, so no
+    # error moves ahead of another
+    found = dict(wavefronts(pair, chain([ps.ic_orbit], _partner_orbits(ps))))
+    bound = found[ps.ic_orbit][1]
     by_wavefront = {
-        x.id
-        for x in ps
-        if pair_leq(
-            pair, embedded[_wavefront(table, pair, az_dual(ps, x).n_orbit)], bound
-        )
+        x.id for x in ps if pair_leq(pair, _invariant(found, ps, x)[1], bound)
     }
     by_tempered_dual = {x.id for x in ps if is_tempered(ps, az_dual(ps, x))}
     if by_wavefront != by_tempered_dual:
@@ -95,38 +88,35 @@ def _arthur_packet(
             f"wavefront {sorted(by_wavefront)} vs "
             f"tempered-dual {sorted(by_tempered_dual)}"
         )
-    return sorted(by_wavefront, key=natural_key)
+    return sorted(by_wavefront, key=natural_key), found
 
 
 def _arthur_packet_cuwfs(
     pair: DualPair, ps: ParameterSet
 ) -> list[tuple[str, BarClass]]:
-    """``arthur_packet``'s members, each with its ``cuwf``, all read from
-    the one table that the packet query fills."""
-    table = _DualityTable()
-    return [
-        (pid, _wavefront(table, pair, az_dual(ps, ps.get(pid)).n_orbit))
-        for pid in _arthur_packet(pair, ps, table)
-    ]
+    """``arthur_packet``'s members, each with its ``cuwf``."""
+    members, found = _arthur_packet(pair, ps)
+    return [(pid, _invariant(found, ps, ps.get(pid))[0]) for pid in members]
 
 
 def arthur_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     """Parameters whose wavefront invariant is below the dual of the
     infinitesimal-character orbit; provably the same set as the
     parameters with tempered partners, and checked against it."""
-    return _arthur_packet(pair, ps, _DualityTable())
+    return _arthur_packet(pair, ps)[0]
 
 
 def weak_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     """Parameters whose coarse wavefront orbit is below d(ic_orbit);
     provably the parameters whose partner orbit lies in the special piece
     of the infinitesimal-character orbit, and checked against it."""
-    table = _DualityTable()
     bound = pair.gd.d(ps.ic_orbit)
+    # one answer at a time: a bound outside g fails at the first leq,
+    # before a later parameter's own lookups
     by_wavefront = {
         x.id
-        for x in ps
-        if pair.g.leq(_wavefront(table, pair, az_dual(ps, x).n_orbit)[0], bound)
+        for x, (_, (wf, _)) in zip(ps, wavefronts(pair, _partner_orbits(ps)))
+        if pair.g.leq(wf[0], bound)
     }
     piece = set(pair.gd.special_piece(ps.ic_orbit))
     by_piece = {x.id for x in ps if az_dual(ps, x).n_orbit in piece}
@@ -171,18 +161,17 @@ class JiangReport(Record):
 def check_jiang(pair: DualPair, ps: ParameterSet) -> JiangReport:
     """Every packet member's coarse wavefront orbit equals d(ic_orbit),
     and the refined lower bound holds across the whole parameter set."""
-    table = _DualityTable()
     d_ic = pair.gd.d(ps.ic_orbit)
+    packet, found = _arthur_packet(pair, ps)
     members = []
-    for pid in _arthur_packet(pair, ps, table):
-        orbit = _wavefront(table, pair, az_dual(ps, ps.get(pid)).n_orbit)[0]
+    for pid in packet:
+        orbit = _invariant(found, ps, ps.get(pid))[0][0]
         members.append((pid, orbit, orbit == d_ic))
-    embedded = table.pairs(pair.g)
-    bound = embedded[_wavefront(table, pair, ps.ic_orbit)]
-    lower = []
-    for x in sorted(ps, key=lambda x: natural_key(x.id)):
-        wf = embedded[_wavefront(table, pair, az_dual(ps, x).n_orbit)]
-        lower.append((x.id, pair_leq(pair, bound, wf)))
+    bound = found[ps.ic_orbit][1]
+    lower = [
+        (x.id, pair_leq(pair, bound, _invariant(found, ps, x)[1]))
+        for x in sorted(ps, key=lambda x: natural_key(x.id))
+    ]
     return JiangReport(ps.ic_orbit, d_ic, tuple(members), tuple(lower))
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import settings
 
-from orbitduality import data
+from orbitduality import data, duality
 from orbitduality.orbits import NilpotentPoset
 
 # reproducible property tests that keep no example database on disk
@@ -53,4 +53,19 @@ def sommers_calls(monkeypatch):
 
     # every table read, ``d``'s included, goes through the base method
     monkeypatch.setattr(NilpotentPoset, "sommers", counted)
+    return calls
+
+
+@pytest.fixture()
+def cover_searches(monkeypatch):
+    """The minimal-special-cover searches that run; memo hits never reach
+    ``_least``, which each search calls once."""
+    calls = []
+    real = duality._least
+
+    def counted(items, leq):
+        calls.append(items)
+        return real(items, leq)
+
+    monkeypatch.setattr(duality, "_least", counted)
     return calls

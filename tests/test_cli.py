@@ -373,6 +373,35 @@ def test_empty_group_type_exits_2(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe" + b"{}", ("[" * 100000 + "]" * 100000).encode()],
+    ids=["not-utf8", "too-deep"],
+)
+@pytest.mark.parametrize("flag", ["--bundle", "--dual-bundle"])
+def test_undecodable_bundle_exits_2(capsys, tmp_path, bundle_path, content, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    files = {"--bundle": bundle_path, "--dual-bundle": bundle_path, flag: str(bad)}
+    args = [arg for item in files.items() for arg in item]
+    code, out, err = run_cli(capsys, *args, "dual", "0")
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_duplicate_parameter_set_exits_2(capsys, tmp_path):
+    doc = json.loads(data.builtin_bundle_text("f4"))
+    doc["parameter_sets"] *= 2
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["verify"], ["packet", "F4(a3)"], ["cuwf", "X2"]):
+        code, out, err = run_cli(capsys, "--bundle", str(path), *command)
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and "duplicate parameter set" in err
+
+
+@pytest.mark.parametrize(
     "path,value",
     [(("d_s",), {}), (("d_s", "0", "1"), None), (("d_s", "A1", "1"), [])],
     ids=["ds-empty", "ds-null", "ds-list"],

@@ -488,6 +488,45 @@ def test_malformed_document():
         data.parse_bundle("[1, 2]")
 
 
+NOT_UTF8 = b"\xff\xfe" + F4_TEXT.encode("utf-8")
+TOO_DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "content,fragment",
+    [(NOT_UTF8, "not UTF-8"), (TOO_DEEP.encode(), "malformed")],
+    ids=["not-utf8", "too-deep"],
+)
+def test_undecodable_documents_are_schema_errors(tmp_path, content, fragment):
+    path = tmp_path / "bundle.json"
+    path.write_bytes(content)
+    sources = [content, str(path), path, io.BytesIO(content)]
+    if fragment == "malformed":
+        sources.append(TOO_DEEP)
+    for source in sources:
+        with pytest.raises(SchemaError) as err:
+            data.parse_bundle(source)
+        assert fragment in str(err.value), source
+
+
+def test_duplicate_parameter_set_is_schema_error(f4_doc):
+    f4_doc["parameter_sets"] *= 2
+    with pytest.raises(SchemaError) as err:
+        data.parse_bundle(json.dumps(f4_doc))
+    assert "duplicate parameter set at 'F4(a3)'" in str(err.value)
+
+
+def test_parameter_id_in_two_sets_is_schema_error(f4_doc):
+    (ps,) = f4_doc["parameter_sets"]
+    other = {"ic_orbit": "0", "parameters": [dict(ps["parameters"][0])]}
+    f4_doc["parameter_sets"].append(other)
+    with pytest.raises(SchemaError) as err:
+        data.parse_bundle(json.dumps(f4_doc))
+    assert "duplicate parameter id 'X1'" in str(err.value)
+    other["parameters"][0]["id"] = other["parameters"][0]["az"] = "Y1"
+    assert len(data.parse_bundle(json.dumps(f4_doc)).parameter_sets) == 2
+
+
 def test_duplicate_json_keys_rejected(f4_doc):
     text = json.dumps(f4_doc)
     text = text[:-1] + ', "format_version": 1}'

@@ -21,7 +21,7 @@ from orbitduality.errors import (
     UnknownLabelError,
 )
 from orbitduality.orbits import BundlePoset, classical_poset
-from orbitduality.packets import arthur_packet, check_jiang, weak_packet
+from orbitduality.packets import arthur_packet, check_jiang, cuwf, weak_packet
 
 GOLDEN_LIB = (
     Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "f4_lib.json"
@@ -254,19 +254,6 @@ def test_distinct_dual_posets_are_tabulated_separately(f4_bundle, sommers_calls)
         assert len(sommers_calls) == 42, bc
 
 
-@pytest.fixture()
-def cover_searches(monkeypatch):
-    calls = []
-    real = duality._least
-
-    def counted(items, leq):
-        calls.append(items)
-        return real(items, leq)
-
-    monkeypatch.setattr(duality, "_least", counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "check",
     [
@@ -315,3 +302,63 @@ def test_duality_tables_leave_no_reference_cycle(f4_pair, f4_params):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "call,reads,searches",
+    [
+        (lambda pair, ps: data._check_duality_identities(pair), 21, 21),
+        (lambda pair, ps: achar_dual(pair, ("B2", "1")), 21, 1),
+        (lambda pair, ps: cuwf(pair, ps, ps.get("X2")), 21, 1),
+        (arthur_packet, 21, 11),
+        (check_jiang, 22, 11),
+        (weak_packet, 566, 11),
+        (lambda pair, ps: data.validate_bundle(
+            data.parse_bundle(data.builtin_bundle_text("f4"))), 431, 21),
+    ],
+    ids=["identities", "achar_dual", "cuwf", "arthur_packet", "check_jiang",
+         "weak_packet", "validate_bundle"],
+)
+def test_f4_calls_read_and_search_pinned_counts(
+    f4_pair, f4_params, sommers_calls, cover_searches, call, reads, searches
+):
+    call(f4_pair, f4_params)
+    assert (len(sommers_calls), len(cover_searches)) == (reads, searches)
+
+
+def test_repeated_calls_keep_no_memo(f4_pair, f4_params, cover_searches):
+    for _ in range(2):
+        achar_dual(f4_pair, ("B2", "1"))
+        arthur_packet(f4_pair, f4_params)
+    assert len(cover_searches) == 2 * (1 + 11)
+
+
+def test_wavefronts_are_refined_duals_on_the_flip(f4_pair):
+    orbits = list(f4_pair.gd.labels)
+    found = dict(duality.wavefronts(f4_pair, orbits))
+    assert list(found) == orbits
+    for orbit, (bc, img) in found.items():
+        assert bc == achar_dual(f4_pair.flip(), (orbit, "1"))
+        assert img == embed(f4_pair, bc)
+
+
+def test_wavefronts_check_each_label_when_it_is_reached(f4_pair, sommers_calls):
+    found = duality.wavefronts(f4_pair, ["F4(a3)", "E8"])
+    assert next(found)[0] == "F4(a3)"
+    assert sommers_calls
+    with pytest.raises(UnknownLabelError):
+        next(found)
+
+
+def test_refined_duality_failures_on_shipped_pairs(f4_bundle, f4_pair):
+    assert duality.refined_duality_failures(f4_pair) is None
+    separate = data.dual_pair(f4_bundle, f4_bundle)
+    assert duality.refined_duality_failures(separate) is None
+
+
+def test_only_duality_names_its_table():
+    src = Path(duality.__file__).parent
+    naming = sorted(
+        p.name for p in src.glob("*.py") if "_DualityTable" in p.read_text()
+    )
+    assert naming == ["duality.py"]

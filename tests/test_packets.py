@@ -434,6 +434,17 @@ def test_packet_queries_match_per_parameter_reference(f4_doc, name):
         )
 
 
+def test_weak_packet_reports_a_bound_outside_the_group_first(f4_doc):
+    # d(ic_orbit) names no orbit: the first comparison fails before a later
+    # parameter's cover search meets the same label
+    f4_doc["d_s"]["F4(a3)"]["1"] = "bogus"
+    bundle = data.parse_bundle(json.dumps(f4_doc))
+    pair, ps = data.dual_pair(bundle), data.parameter_set(bundle, "F4(a3)")
+    got = _outcome(weak_packet, pair, ps)
+    assert got == _outcome(_ref_weak_packet, pair, ps)
+    assert got[0] == "UnknownLabelError"
+
+
 def test_seeded_d_s_corruptions_match_references(f4_doc):
     rng = random.Random(20221001)
     entries = [(o, c) for o, table in f4_doc["d_s"].items() for c in table]
