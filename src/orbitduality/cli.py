@@ -1,10 +1,14 @@
 """Command-line front end over bundle files.
 
-Exit codes: 0 success, 1 domain errors (unknown labels, missing entries),
-2 I/O, schema, or validation failures.
+``COMMANDS`` names each subcommand once, with its help text, positionals
+and handler.  ``build_parser`` declares them from it; ``run`` loads and
+validates the bundles, folds each label (every positional but
+``param_id``) through ``normalize_label``, runs the handler and prints.
 
-Every call compiles what it imports, so ``packets`` is imported only in
-the branches that run a packet query.
+Exit codes: 0 success, 1 domain errors (unknown labels, missing entries),
+2 I/O, schema, or validation failures; only ``verify`` runs on a bundle
+that fails validation.  Every call compiles what it imports, so
+``packets`` is imported only in the handlers that run a packet query.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import sys
 import unicodedata
 
 from . import data
-from .duality import DualPair, achar_dual
+from .duality import achar_dual
 from .errors import (
     BundleValidationError,
     OrbitDualityError,
@@ -46,8 +50,129 @@ def normalize_label(label: str) -> str:
     return "".join(out)
 
 
-def _format_barclass(bc) -> str:
-    return f"({bc[0]}, {bc[1]})"
+def _dual(bundle, pair, report, orbit):
+    image = pair.g.d(orbit)
+    return EXIT_OK, [image], {"orbit": orbit, "dual": image}
+
+
+def _achar_dual(bundle, pair, report, orbit, cls):
+    o, c = achar_dual(pair, (orbit, cls))
+    payload = {"orbit": orbit, "class": cls, "dual": {"orbit": o, "class": c}}
+    return EXIT_OK, [f"({o}, {c})"], payload
+
+
+def _closure(bundle, pair, report, a, b):
+    result = pair.g.leq(a, b)
+    return EXIT_OK, ["true" if result else "false"], {"a": a, "b": b, "leq": result}
+
+
+def _special_piece(bundle, pair, report, orbit):
+    piece = list(pair.g.special_piece(orbit))
+    return EXIT_OK, piece, {"orbit": orbit, "piece": piece}
+
+
+def _cuwf(bundle, pair, report, param_id):
+    from .packets import cuwf
+
+    for ps in bundle.parameter_sets:
+        if param_id in ps.ids():
+            o, c = cuwf(pair, ps, ps.get(param_id))
+            payload = {"id": param_id, "cuwf": {"orbit": o, "class": c}, "geometric": o}
+            return EXIT_OK, [f"cuwf: ({o}, {c})", f"geometric: {o}"], payload
+    raise UnknownLabelError(f"unknown parameter id {param_id!r}")
+
+
+def _packet(bundle, pair, report, ic):
+    from .packets import _arthur_packet_cuwfs
+
+    cuwfs = list(_arthur_packet_cuwfs(pair, data.parameter_set(bundle, ic)))
+    lines = [f"{pid}  cuwf=({o}, {c})" for pid, (o, c) in cuwfs]
+    members = [{"id": pid, "cuwf": {"orbit": o, "class": c}} for pid, (o, c) in cuwfs]
+    return EXIT_OK, lines, {"ic_orbit": ic, "members": members}
+
+
+def _weak_packet(bundle, pair, report, ic):
+    from .packets import az_dual, weak_packet
+
+    ps = data.parameter_set(bundle, ic)
+    partners = [(pid, az_dual(ps, ps.get(pid))) for pid in weak_packet(pair, ps)]
+    lines = [f"{pid}  az={x.id}  az_orbit={x.n_orbit}" for pid, x in partners]
+    members = [{"id": pid, "az": x.id, "az_orbit": x.n_orbit} for pid, x in partners]
+    return EXIT_OK, lines, {"ic_orbit": ic, "members": members}
+
+
+def _verify(bundle, pair, report):
+    """Full invariant suite plus the wavefront checks on parameter sets."""
+    ok = report.passed
+    lines = [report.to_text()]
+    jiang = []
+    if ok:
+        from .packets import check_jiang  # here: a failing verify never loads it
+
+        for ps in bundle.parameter_sets:
+            jr = check_jiang(pair, ps)
+            ok = ok and jr.passed
+            mark = "ok  " if jr.passed else "FAIL"
+            lines.append(
+                f"{mark} wavefront equalities and lower bound at {ps.ic_orbit}"
+            )
+            jiang.append(jr.to_dict())
+    else:
+        lines.append("skipped wavefront checks: validation failed")
+    payload = {"validation": report.to_dict(), "jiang": jiang, "passed": ok}
+    return EXIT_OK if ok else EXIT_DATA, lines, payload
+
+
+def _list(bundle, pair, report):
+    g = pair.g
+    lines = []
+    payload = {"group": g.group_id, "orbits": [], "parameters": []}
+    for label in g.labels:
+        classes = g.bar_classes(label)
+        dim = g.dim(label)
+        special = g.is_special(label)
+        lines.append(
+            f"{label}  dim={dim if dim is not None else '?'}  "
+            f"{'special' if special else 'non-special'}  classes={','.join(classes)}"
+        )
+        payload["orbits"].append(
+            {"label": label, "dim": dim, "special": special, "classes": list(classes)}
+        )
+    for ps in bundle.parameter_sets:
+        for x in sorted(ps, key=lambda x: data.natural_key(x.id)):
+            lines.append(f"{x.id}  n_orbit={x.n_orbit}  rho={x.rho}  az={x.az_partner}")
+            payload["parameters"].append(
+                {
+                    "id": x.id,
+                    "ic_orbit": ps.ic_orbit,
+                    "n_orbit": x.n_orbit,
+                    "rho": x.rho,
+                    "az": x.az_partner,
+                }
+            )
+    return EXIT_OK, lines, payload
+
+
+# subcommand -> (help text, positional names, handler), in --help order; a
+# handler takes the bundle, the dual pair, the validation report and the
+# positionals, and returns (exit code, text lines, JSON payload)
+COMMANDS = {
+    "dual": ("print the duality image of an orbit", ("orbit",), _dual),
+    "achar-dual": (
+        "print the refined dual of (orbit, class)", ("orbit", "class"), _achar_dual
+    ),
+    "closure": ("print whether A <= B in the closure order", ("a", "b"), _closure),
+    "special-piece": (
+        "print the special piece of an orbit", ("orbit",), _special_piece
+    ),
+    "cuwf": ("print a parameter's wavefront invariants", ("param_id",), _cuwf),
+    "packet": (
+        "print the packet at an infinitesimal character", ("ic_orbit",), _packet
+    ),
+    "weak-packet": ("print the weak packet and witnesses", ("ic_orbit",), _weak_packet),
+    "verify": ("run the full invariant suite", (), _verify),
+    "list": ("enumerate orbits, classes, and parameters", (), _list),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,49 +188,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", dest="fmt"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dual", help="print the duality image of an orbit")
-    p.add_argument("orbit")
-    p = sub.add_parser("achar-dual", help="print the refined dual of (orbit, class)")
-    p.add_argument("orbit")
-    p.add_argument("cls", metavar="class")
-    p = sub.add_parser("closure", help="print whether A <= B in the closure order")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = sub.add_parser("special-piece", help="print the special piece of an orbit")
-    p.add_argument("orbit")
-    p = sub.add_parser("cuwf", help="print a parameter's wavefront invariants")
-    p.add_argument("param_id")
-    p = sub.add_parser("packet", help="print the packet at an infinitesimal character")
-    p.add_argument("ic_orbit")
-    p = sub.add_parser("weak-packet", help="print the weak packet and witnesses")
-    p.add_argument("ic_orbit")
-    sub.add_parser("verify", help="run the full invariant suite")
-    sub.add_parser("list", help="enumerate orbits, classes, and parameters")
+    for name, (help_text, positionals, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
     return parser
 
 
-def _emit(fmt: str, text_lines: list[str], payload: dict) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, positionals, handler = COMMANDS[args.command]
 
     try:
-        dual_bundle = None
-        if args.dual_bundle:
-            dual_bundle = data.parse_bundle(args.dual_bundle)
-        if args.command == "verify":
-            bundle = data.parse_bundle(args.bundle)
-            report = data.validate_bundle(bundle, dual_bundle)
-        else:
-            bundle = data.load_bundle(args.bundle, dual_bundle)
+        dual_bundle = data.parse_bundle(args.dual_bundle) if args.dual_bundle else None
+        bundle = data.parse_bundle(args.bundle)
+        report = data.validate_bundle(bundle, dual_bundle)
+        if not report.passed and handler is not _verify:
+            raise BundleValidationError(report)
         pair = data.dual_pair(bundle, dual_bundle)
     except BundleValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -116,9 +215,11 @@ def run(argv=None) -> int:
         return EXIT_DATA
 
     try:
-        if args.command == "verify":
-            return _verify(args, bundle, pair, report)
-        return _dispatch(args, bundle, pair)
+        values = [
+            getattr(args, n) if n == "param_id" else normalize_label(getattr(args, n))
+            for n in positionals
+        ]
+        code, lines, payload = handler(bundle, pair, report, *values)
     except (UnknownLabelError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -126,159 +227,12 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-
-def _verify(args, bundle, pair: DualPair, report) -> int:
-    """Full invariant suite plus the wavefront checks on parameter sets."""
-    ok = report.passed
-    jiang_lines = []
-    jiang_payload = []
-    if ok:
-        from .packets import check_jiang  # here: a failing verify never loads it
-
-        for ps in bundle.parameter_sets:
-            jr = check_jiang(pair, ps)
-            ok = ok and jr.passed
-            mark = "ok  " if jr.passed else "FAIL"
-            jiang_lines.append(
-                f"{mark} wavefront equalities and lower bound at {ps.ic_orbit}"
-            )
-            jiang_payload.append(jr.to_dict())
+    if args.fmt == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        jiang_lines.append("skipped wavefront checks: validation failed")
-    _emit(
-        args.fmt,
-        [report.to_text()] + jiang_lines,
-        {"validation": report.to_dict(), "jiang": jiang_payload, "passed": ok},
-    )
-    return EXIT_OK if ok else EXIT_DATA
-
-
-def _dispatch(args, bundle, pair: DualPair) -> int:
-    fmt = args.fmt
-    g = pair.g
-
-    if args.command == "dual":
-        orbit = normalize_label(args.orbit)
-        image = g.d(orbit)
-        _emit(fmt, [image], {"orbit": orbit, "dual": image})
-
-    elif args.command == "achar-dual":
-        orbit = normalize_label(args.orbit)
-        cls = normalize_label(args.cls)
-        image = achar_dual(pair, (orbit, cls))
-        _emit(
-            fmt,
-            [_format_barclass(image)],
-            {
-                "orbit": orbit,
-                "class": cls,
-                "dual": {"orbit": image[0], "class": image[1]},
-            },
-        )
-
-    elif args.command == "closure":
-        a, b = normalize_label(args.a), normalize_label(args.b)
-        result = g.leq(a, b)
-        _emit(fmt, ["true" if result else "false"], {"a": a, "b": b, "leq": result})
-
-    elif args.command == "special-piece":
-        orbit = normalize_label(args.orbit)
-        piece = g.special_piece(orbit)
-        _emit(fmt, list(piece), {"orbit": orbit, "piece": list(piece)})
-
-    elif args.command == "cuwf":
-        wf = _param_wavefront(bundle, pair, args.param_id)
-        _emit(
-            fmt,
-            [f"cuwf: {_format_barclass(wf)}", f"geometric: {wf[0]}"],
-            {
-                "id": args.param_id,
-                "cuwf": {"orbit": wf[0], "class": wf[1]},
-                "geometric": wf[0],
-            },
-        )
-
-    elif args.command == "packet":
-        from .packets import _arthur_packet_cuwfs
-
-        ic = normalize_label(args.ic_orbit)
-        ps = data.parameter_set(bundle, ic)
-        lines = []
-        payload = {"ic_orbit": ic, "members": []}
-        for pid, wf in _arthur_packet_cuwfs(pair, ps):
-            lines.append(f"{pid}  cuwf={_format_barclass(wf)}")
-            payload["members"].append(
-                {"id": pid, "cuwf": {"orbit": wf[0], "class": wf[1]}}
-            )
-        _emit(fmt, lines, payload)
-
-    elif args.command == "weak-packet":
-        from .packets import az_dual, weak_packet
-
-        ic = normalize_label(args.ic_orbit)
-        ps = data.parameter_set(bundle, ic)
-        members = weak_packet(pair, ps)
-        lines = []
-        payload = {"ic_orbit": ic, "members": []}
-        for pid in members:
-            x = ps.get(pid)
-            partner = az_dual(ps, x)
-            lines.append(
-                f"{pid}  az={partner.id}  az_orbit={partner.n_orbit}"
-            )
-            payload["members"].append(
-                {"id": pid, "az": partner.id, "az_orbit": partner.n_orbit}
-            )
-        _emit(fmt, lines, payload)
-
-    elif args.command == "list":
-        lines = []
-        payload = {"group": g.group_id, "orbits": [], "parameters": []}
-        for label in g.labels:
-            classes = ",".join(g.bar_classes(label))
-            dim = g.dim(label)
-            special = g.is_special(label)
-            lines.append(
-                f"{label}  dim={dim if dim is not None else '?'}  "
-                f"{'special' if special else 'non-special'}  classes={classes}"
-            )
-            payload["orbits"].append(
-                {
-                    "label": label,
-                    "dim": dim,
-                    "special": special,
-                    "classes": list(g.bar_classes(label)),
-                }
-            )
-        for ps in bundle.parameter_sets:
-            for x in sorted(ps, key=lambda x: data.natural_key(x.id)):
-                lines.append(
-                    f"{x.id}  n_orbit={x.n_orbit}  rho={x.rho}  az={x.az_partner}"
-                )
-                payload["parameters"].append(
-                    {
-                        "id": x.id,
-                        "ic_orbit": ps.ic_orbit,
-                        "n_orbit": x.n_orbit,
-                        "rho": x.rho,
-                        "az": x.az_partner,
-                    }
-                )
-        _emit(fmt, lines, payload)
-
-    return EXIT_OK
-
-
-def _param_wavefront(bundle, pair, param_id):
-    from .packets import cuwf
-
-    for ps in bundle.parameter_sets:
-        try:
-            x = ps.get(param_id)
-        except UnknownLabelError:
-            continue
-        return cuwf(pair, ps, x)
-    raise UnknownLabelError(f"unknown parameter id {param_id!r}")
+        for line in lines:
+            print(line)
+    return code
 
 
 def main() -> None:

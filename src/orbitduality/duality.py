@@ -13,6 +13,10 @@ Each public call here (``achar_dual``, ``min_special_cover``,
 computes from one table of its own: at most 2·|B| Sommers-table lookups
 for |B| bar classes, |B| for a self-dual pair (21 on F4), and each
 minimal special cover searched once.  Nothing is kept between calls.
+
+``refined_duality_failures`` checks two laws of D: the embedding is
+injective and pr1∘D = d_S.  D^3 = D and order reversal hold by
+construction, so they are not checked; its docstring says why.
 """
 
 from __future__ import annotations
@@ -185,13 +189,18 @@ def wavefronts(pair: DualPair, orbits):
 def refined_duality_failures(pair: DualPair) -> str | None:
     """The first law of D that fails on ``pair``, as a report, or None.
 
-    In order: the embedding of ``pair.g`` is injective, pr1∘D = d_S,
-    D^3 = D, and D reverses the order.  The injectivity walk goes in
-    bar-class order, so a collision is reported before a later class's
-    missing table entry and before the dual side is tabulated; the walk
-    is then the table's tabulation of ``pair.g``.  D on the flip is taken
-    only over the image of D; a self-dual pair equals its flip, so its
-    covers are searched once.
+    Checked, in order: the embedding of ``pair.g`` is injective, and
+    pr1∘D = d_S.  The injectivity walk goes in bar-class order, so a
+    collision is reported before a later class's missing table entry and
+    before the dual side is tabulated; the walk is then the table's
+    tabulation of ``pair.g``.
+
+    D^3 = D and order reversal hold by construction once every D is
+    defined, because both orders are reflexive and transitive.  A special
+    bar class is its own minimal cover, so D on the flip sends D(bc) to
+    cover(bc), and D(cover(bc)) = D(bc).  And x <= y puts cover(y) among
+    the specials above x, so cover(x) <= cover(y), which the flip turns
+    into order reversal.
     """
     seen = {}
     for bc in all_bar_classes(pair.g):
@@ -202,18 +211,7 @@ def refined_duality_failures(pair: DualPair) -> str | None:
     table = _DualityTable()
     embedded = table.pairs(pair.g, {bc: p for p, bc in seen.items()})
     refined = {bc: table.dual(pair, bc) for bc in embedded}
-    flip = pair.flip()
-    back = {b: table.dual(flip, b) for b in dict.fromkeys(refined.values())}
-    dual_embedded = table.pairs(pair.gd)
     for bc, once in refined.items():
         if embedded[bc][1] != once[0]:
             return f"pr1 of the refined dual differs from the Sommers image at {bc}"
-        if refined[back[once]] != once:
-            return f"D^3 != D at {bc}"
-    for x in embedded:
-        for y in embedded:
-            if pair_leq(pair, embedded[x], embedded[y]) and not pair_leq(
-                flip, dual_embedded[refined[y]], dual_embedded[refined[x]]
-            ):
-                return f"refined duality not order-reversing on {x} <= {y}"
     return None

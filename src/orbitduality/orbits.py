@@ -27,14 +27,16 @@ def partition_label(p: pt.Partition, decoration: str = "") -> str:
     return "(" + ",".join(str(x) for x in p) + ")" + decoration
 
 
-def parse_partition_label(label: str) -> tuple[pt.Partition, str]:
-    decoration = ""
-    body = label
+def _split_decoration(label: str) -> tuple[str, str]:
+    """Split off a type D label's ``I``/``II`` suffix: (body, decoration)."""
     for suffix in ("II", "I"):
-        if body.endswith(suffix):
-            decoration = suffix
-            body = body[: -len(suffix)]
-            break
+        if label.endswith(suffix):
+            return label[: -len(suffix)], suffix
+    return label, ""
+
+
+def parse_partition_label(label: str) -> tuple[pt.Partition, str]:
+    body, decoration = _split_decoration(label)
     if not (body.startswith("(") and body.endswith(")")):
         raise UnknownLabelError(f"not a partition label: {label!r}")
     inner = body[1:-1]
@@ -122,7 +124,7 @@ class NilpotentPoset:
 
     def same_image(self, a: str, b: str) -> bool:
         """Label equality, ignoring the type D I/II decoration."""
-        return a == b or _strip_decoration(a) == _strip_decoration(b)
+        return a == b or _split_decoration(a)[0] == _split_decoration(b)[0]
 
     def zero(self) -> str:
         return self._extreme(lambda a, b: self.leq(a, b))
@@ -169,13 +171,6 @@ def _least(items, leq) -> list:
     return [a for a in items if all(leq(a, b) for b in items)]
 
 
-def _strip_decoration(label: str) -> str:
-    for suffix in ("II", "I"):
-        if label.endswith(suffix):
-            return label[: -len(suffix)]
-    return label
-
-
 # -- poset laws --------------------------------------------------------------
 
 def order_failures(poset: NilpotentPoset) -> list[tuple[str, str]]:
@@ -197,9 +192,9 @@ def duality_failures(poset: NilpotentPoset, dual: NilpotentPoset):
            if poset.leq(a, b) and not dual.leq(poset.d(b), poset.d(a))]
     if bad:
         return "order reversal fails", bad
-    image = {_strip_decoration(dual.d(b)) for b in dual.labels}
+    image = {_split_decoration(dual.d(b))[0] for b in dual.labels}
     bad = [a for a in poset.labels if poset.same_image(dual.d(poset.d(a)), a)
-           != (_strip_decoration(a) in image)]
+           != (_split_decoration(a)[0] in image)]
     if bad:
         return "specials differ from the image of d", bad
     return None

@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import io
 import json
 import os
@@ -12,11 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_data import FIELD_PATHS, REPLACEMENTS
 
-from orbitduality import cli, data
+from orbitduality import cli, data, packets
+from orbitduality.errors import InconsistentDataError
 
 BUNDLE = None
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN_CLI = ROOT / "perfbench" / "golden" / "f4_cli.json"
+GOLDEN = ROOT / "perfbench" / "golden"
+
+
+def load_golden(name: str) -> dict:
+    return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +184,9 @@ def test_unicode_label_arguments(capsys, bundle_path):
     )
     assert code == 0
     assert out == "F4(a1)\n"
+    plain = run_cli(capsys, "--bundle", bundle_path, "packet", "F4(a3)")
+    assert plain[0] == 0 and plain[1].startswith("X5 ")
+    assert run_cli(capsys, "--bundle", bundle_path, "packet", "F4(a₃)") == plain
 
 
 def test_json_mirrors_text(capsys, bundle_path):
@@ -217,6 +227,10 @@ def test_unknown_parameter_exit_code(capsys, bundle_path):
     code, _, err = run_cli(capsys, "--bundle", bundle_path, "cuwf", "X99")
     assert code == 1
     assert "X99" in err
+    # parameter ids are not labels, so a fullwidth X is not folded
+    code, out, err = run_cli(capsys, "--bundle", bundle_path, "cuwf", "Ｘ2")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown parameter id 'Ｘ2'\n"
 
 
 @pytest.mark.parametrize("command", ["packet", "weak-packet"])
@@ -448,17 +462,82 @@ def test_single_field_replacement_never_prints_a_traceback(path, value, fmt, com
     assert "Traceback" not in err.getvalue()
 
 
+SURFACE = [
+    ("dual", "print the duality image of an orbit", "orbit"),
+    ("achar-dual", "print the refined dual of (orbit, class)", "orbit class"),
+    ("closure", "print whether A <= B in the closure order", "a b"),
+    ("special-piece", "print the special piece of an orbit", "orbit"),
+    ("cuwf", "print a parameter's wavefront invariants", "param_id"),
+    ("packet", "print the packet at an infinitesimal character", "ic_orbit"),
+    ("weak-packet", "print the weak packet and witnesses", "ic_orbit"),
+    ("verify", "run the full invariant suite", ""),
+    ("list", "enumerate orbits, classes, and parameters", ""),
+]
+
+
+def test_subcommand_surface():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = [(choice.dest, choice.help) for choice in sub._choices_actions]
+    assert found == [(name, help_text) for name, help_text, _ in SURFACE]
+    for name, _, positionals in SURFACE:
+        usage = f"usage: orbitduality {name} [-h] {positionals}".rstrip() + "\n"
+        assert sub.choices[name].format_usage() == usage
+
+
 def test_outputs_match_golden(capsys, bundle_path):
-    golden = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
-    subcommands = {"packet", "weak-packet", "cuwf", "verify", "list"}
-    keys = [key for key in golden if key.split()[1] in subcommands]
-    assert len(keys) == 48  # 20 cuwf parameters and 4 other calls, 2 formats
+    # every text answer, and every JSON answer but closure's 256 label
+    # pairs, sampled at the 16 with a = 0: all 666 cost about 4 s
+    golden = load_golden("f4_cli.json")
+    keys = [
+        key for key in golden
+        if not key.startswith("json closure ") or key.startswith("json closure 0 ")
+    ]
+    assert len(keys) == 426  # 333 text, 93 JSON
+    assert {tuple(key.split()[:2]) for key in keys} == {
+        (fmt, sub) for fmt in ("text", "json") for sub, _, _ in SURFACE
+    }
     for key in keys:
         fmt, sub, *args = key.split()
         code, out, _ = run_cli(
             capsys, "--bundle", bundle_path, "--format", fmt, sub, *args
         )
         assert (code, out) == (golden[key]["exit"], golden[key]["stdout"]), key
+
+
+CORRUPT = load_golden("f4_corrupt.json")
+# the benchmark's seeded F4 corruptions, which f4_corrupt.json records
+_spec = importlib.util.spec_from_file_location(
+    "corrupt", ROOT / "perfbench" / "corrupt.py"
+)
+corrupt = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corrupt)
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPT))
+def test_verify_on_corrupt_bundle_matches_golden(capsys, tmp_path, kind):
+    # the first recorded variant of each kind, in both formats; all 386
+    # runs would add about 1.5 s to the suite
+    variant, outputs = next(iter(CORRUPT[kind]["variants"].items()))
+    doc = corrupt.corrupt(json.loads(data.builtin_bundle_text("f4")), kind, variant)
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert sorted(outputs) == ["json", "text"]
+    for fmt, want in outputs.items():
+        code, out, _ = run_cli(capsys, "--bundle", str(path), "--format", fmt, "verify")
+        assert (code, out) == (want["exit"], want["stdout"]), (variant, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_other_package_error_in_a_query_exits_2(capsys, bundle_path, monkeypatch, fmt):
+    def broken(pair, ps):
+        raise InconsistentDataError("weak packet tables disagree")
+
+    monkeypatch.setattr(packets, "weak_packet", broken)
+    code, out, err = run_cli(
+        capsys, "--bundle", bundle_path, "--format", fmt, "weak-packet", "F4(a3)"
+    )
+    assert (code, out, err) == (2, "", "error: weak packet tables disagree\n")
 
 
 def test_unknown_flag_rejected(bundle_path):
