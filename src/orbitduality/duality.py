@@ -22,13 +22,8 @@ construction, so they are not checked; its docstring says why.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import (
-    GroupMismatchError,
-    InconsistentDataError,
-    NonUniqueCoverError,
-    UnknownLabelError,
-)
-from .orbits import NilpotentPoset, _least
+from .errors import GroupMismatchError, InconsistentDataError, UnknownLabelError
+from .orbits import NilpotentPoset, _least_one
 
 BarClass = tuple[str, str]  # (orbit label, class label)
 OrbitPair = tuple[str, str]  # (orbit in G, orbit in the dual group)
@@ -143,13 +138,11 @@ class _DualityTable:
                 if self.unembed(pair.gd, _flip_pair(p)) is not None
                 and pair_leq(pair, here, p)
             ]
-            minima = _least(above, lambda x, y: pair_leq(pair, pairs[x], pairs[y]))
-            if len(minima) != 1:
-                raise NonUniqueCoverError(
-                    f"bar class {bc} of {pair.g.group_id} has "
-                    f"{len(minima)} minimal special covers"
-                )
-            self._covers[key] = minima[0]
+            self._covers[key] = _least_one(
+                above, lambda x, y: pair_leq(pair, pairs[x], pairs[y]),
+                lambda count: f"bar class {bc} of {pair.g.group_id} has "
+                              f"{count} minimal special covers",
+            )
         return self._covers[key]
 
     def dual(self, pair: DualPair, bc: BarClass) -> BarClass:

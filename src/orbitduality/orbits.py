@@ -35,35 +35,23 @@ def _split_decoration(label: str) -> tuple[str, str]:
     return label, ""
 
 
-def parse_partition_label(label: str) -> tuple[pt.Partition, str]:
-    body, decoration = _split_decoration(label)
-    if not (body.startswith("(") and body.endswith(")")):
-        raise UnknownLabelError(f"not a partition label: {label!r}")
-    inner = body[1:-1]
-    try:
-        parts = [int(x) for x in inner.split(",")] if inner else []
-        return pt.partition(parts), decoration
-    except ValueError:
-        raise UnknownLabelError(f"not a partition label: {label!r}") from None
-
-
 class NilpotentPoset:
     """One orbit poset, read from tables its constructor fills once.
 
-    ``order`` is the closure order as a set of (lower, upper) label pairs,
-    reflexive and transitive; ``bar_a`` maps an orbit to its bar classes
+    ``below`` maps each label, in label order, to its lower set in the
+    closure order: the labels at or below it, so the order is reflexive
+    and transitive.  ``bar_a`` maps an orbit to its bar classes
     (the trivial class ``"1"`` alone when absent); ``ds`` is the Sommers
     table, mapping (orbit label, class label) to a dual-group orbit label,
     and the duality map ``d`` is its trivial-class entry.  Subclasses fill
     the tables and provide ``dual``.
     """
 
-    def __init__(self, group_id, labels, order, bar_a, ds,
+    def __init__(self, group_id, below, bar_a, ds,
                  dims=None, dynkin=None, rs: RootSystem | None = None):
         self.group_id = group_id
-        self.labels = tuple(labels)
-        self._label_set = frozenset(self.labels)  # labels, for O(1) checks
-        self._leq = frozenset(order)
+        self._below = dict(below)
+        self.labels = tuple(self._below)
         self._bar = {o: tuple(cs) for o, cs in bar_a.items()}
         self._ds = dict(ds)
         self._dims = dict(dims or {})
@@ -75,7 +63,7 @@ class NilpotentPoset:
     def leq(self, a: str, b: str) -> bool:
         self.check_label(a)
         self.check_label(b)
-        return (a, b) in self._leq
+        return a in self._below[b]
 
     def d(self, label: str) -> str:
         """The trivial-class entry of the Sommers table, read past any
@@ -114,7 +102,7 @@ class NilpotentPoset:
 
     def check_label(self, label: str) -> None:
         try:
-            known = label in self._label_set
+            known = label in self._below
         except TypeError:  # unhashable, so not a label
             known = False
         if not known:
@@ -127,18 +115,13 @@ class NilpotentPoset:
         return a == b or _split_decoration(a)[0] == _split_decoration(b)[0]
 
     def zero(self) -> str:
-        return self._extreme(lambda a, b: self.leq(a, b))
+        return _least_one(self.labels, self.leq, self._no_extreme)
 
     def regular(self) -> str:
-        return self._extreme(lambda a, b: self.leq(b, a))
+        return _least_one(self.labels, lambda a, b: self.leq(b, a), self._no_extreme)
 
-    def _extreme(self, below) -> str:
-        found = _least(self.labels, below)
-        if len(found) != 1:
-            raise NonUniqueCoverError(
-                f"group {self.group_id} has no unique extreme orbit"
-            )
-        return found[0]
+    def _no_extreme(self, count: int) -> str:
+        return f"group {self.group_id} has no unique extreme orbit"
 
     def is_special(self, label: str) -> bool:
         return self.same_image(self.dual.d(self.d(label)), label)
@@ -149,14 +132,11 @@ class NilpotentPoset:
     def special_closure(self, label: str) -> str:
         """The unique minimal special orbit above label."""
         self.check_label(label)
-        above = [s for s in self.labels if self.is_special(s) and self.leq(label, s)]
-        minima = _least(above, self.leq)
-        if len(minima) != 1:
-            raise NonUniqueCoverError(
-                f"orbit {label} in {self.group_id} has no unique minimal "
-                f"special orbit above it"
-            )
-        return minima[0]
+        return _least_one(
+            [s for s in self.specials() if self.leq(label, s)], self.leq,
+            lambda count: f"orbit {label} in {self.group_id} has no unique "
+                          f"minimal special orbit above it",
+        )
 
     def special_piece(self, label: str) -> tuple[str, ...]:
         """All orbits sharing this orbit's special closure, in label order."""
@@ -166,9 +146,13 @@ class NilpotentPoset:
         )
 
 
-def _least(items, leq) -> list:
-    """The elements of items that lie below every element of items."""
-    return [a for a in items if all(leq(a, b) for b in items)]
+def _least_one(items, leq, error):
+    """The one element of items below every element of items.  Unless
+    there is exactly one, raise NonUniqueCoverError(error(count))."""
+    least = [a for a in items if all(leq(a, b) for b in items)]
+    if len(least) != 1:
+        raise NonUniqueCoverError(error(len(least)))
+    return least[0]
 
 
 # -- poset laws --------------------------------------------------------------
@@ -256,12 +240,11 @@ class ClassicalPoset(NilpotentPoset):
                 decoration[lab] = dec
         super().__init__(
             group_id=f"{family}{rank}",
-            labels=tuple(part),
-            order=[
-                (a, b) for a in part for b in part
-                if pt.dominates(part[b], part[a])
-                and (part[a] != part[b] or decoration[a] == decoration[b])
-            ],
+            below={
+                b: {a for a in part if pt.dominates(part[b], part[a])
+                    and (part[a] != part[b] or decoration[a] == decoration[b])}
+                for b in part
+            },
             bar_a={},
             ds={(a, "1"): _classical_d(family, part[a], decoration[a])
                 for a in part},
@@ -296,8 +279,9 @@ def classical_poset(family: str, rank: int) -> ClassicalPoset:
 
 # -- bundle-backed posets ----------------------------------------------------
 
-def transitive_closure(labels, covers) -> frozenset:
-    """Reflexive-transitive closure of covering pairs as a (lo, hi) set."""
+def transitive_closure(labels, covers) -> dict[str, set[str]]:
+    """Reflexive-transitive closure of covering pairs: each label's lower
+    set, in label order."""
     below = {a: {a} for a in labels}
     changed = True
     while changed:
@@ -307,7 +291,7 @@ def transitive_closure(labels, covers) -> frozenset:
             if new:
                 below[hi] |= new
                 changed = True
-    return frozenset((lo, hi) for hi, los in below.items() for lo in los)
+    return below
 
 
 class BundlePoset(NilpotentPoset):
@@ -317,8 +301,7 @@ class BundlePoset(NilpotentPoset):
 
     def __init__(self, group_id, labels, covers, bar_a, ds,
                  dims=None, dynkin=None, rs: RootSystem | None = None):
-        labels = tuple(labels)
-        super().__init__(group_id, labels, transitive_closure(labels, covers),
+        super().__init__(group_id, transitive_closure(labels, covers),
                          bar_a, ds, dims, dynkin, rs)
         self._dual: NilpotentPoset | None = None
 

@@ -59,13 +59,13 @@ def sommers_calls(monkeypatch):
 @pytest.fixture()
 def cover_searches(monkeypatch):
     """The minimal-special-cover searches that run; memo hits never reach
-    ``_least``, which each search calls once."""
+    ``_least_one``, which each search calls once."""
     calls = []
-    real = duality._least
+    real = duality._least_one
 
-    def counted(items, leq):
+    def counted(items, leq, error):
         calls.append(items)
-        return real(items, leq)
+        return real(items, leq, error)
 
-    monkeypatch.setattr(duality, "_least", counted)
+    monkeypatch.setattr(duality, "_least_one", counted)
     return calls

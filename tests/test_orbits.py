@@ -20,7 +20,6 @@ from orbitduality.orbits import (
     duality_failures,
     is_special,
     order_failures,
-    parse_partition_label,
     partition_label,
     special_closure,
     special_piece_of,
@@ -29,16 +28,7 @@ from orbitduality.orbits import (
 
 def test_partition_labels_round_trip():
     assert partition_label((3, 1, 1)) == "(3,1,1)"
-    assert parse_partition_label("(3,1,1)") == ((3, 1, 1), "")
-    assert parse_partition_label("(2,2)II") == ((2, 2), "II")
-    with pytest.raises(UnknownLabelError):
-        parse_partition_label("F4(a3)")
-
-
-@pytest.mark.parametrize("label", ["(a,b)", "(1,3)", "(2,0,1)", "(2,,1)"])
-def test_bad_partition_label_is_unknown(label):
-    with pytest.raises(UnknownLabelError):
-        parse_partition_label(label)
+    assert partition_label((2, 2), "II") == "(2,2)II"
 
 
 def test_zero_and_regular_orbits():
@@ -74,7 +64,7 @@ def test_type_a_dual_is_transpose():
     assert bvls_dual(a2, "(2,1)") == "(2,1)"
     assert bvls_dual(a2, "(3)") == "(1,1,1)"
     for label in a2.labels:
-        p, _ = parse_partition_label(label)
+        p = a2.partition_of(label)
         assert bvls_dual(a2, label) == partition_label(pt.transpose(p))
 
 
@@ -107,9 +97,11 @@ def _variant(poset, d=(), order=()):
     """A bare poset on poset's labels, order and d, with the (lo, hi)
     pairs in order added and d(a) = b for each (a, b) in d."""
     ls = poset.labels
-    leq = {(a, b) for a in ls for b in ls if poset.leq(a, b)} | set(order)
+    below = {b: {a for a in ls if poset.leq(a, b)} for b in ls}
+    for lo, hi in order:
+        below[hi].add(lo)
     ds = {(a, "1"): dict(d).get(a, poset.d(a)) for a in ls}
-    return NilpotentPoset(poset.group_id, ls, leq, {}, ds)
+    return NilpotentPoset(poset.group_id, below, {}, ds)
 
 
 B6 = classical_poset("B", 6)
