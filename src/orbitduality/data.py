@@ -34,6 +34,8 @@ class OrbitRecord(Record):
 
 
 class Parameter(Record):
+    """One parameter; ``n_orbit`` names an orbit of the dual group."""
+
     id: str
     n_orbit: str
     rho: str
@@ -43,7 +45,12 @@ class Parameter(Record):
 
 
 class ParameterSet(Record):
-    """Parameters sharing one infinitesimal-character orbit in the dual group."""
+    """Parameters sharing one infinitesimal-character orbit in the dual group.
+
+    ``ic_orbit`` and each ``n_orbit`` name dual-group orbits: a self-dual
+    bundle's parse checks them against its own labels, and otherwise the
+    ``parameter_orbits`` check reads them in the dual bundle.
+    """
 
     ic_orbit: str
     params: tuple[Parameter, ...]
@@ -279,9 +286,12 @@ def parse_bundle(source) -> GroupBundle:
     if not isinstance(ps_docs, list):
         raise SchemaError("parameter_sets must be a list")
     ids = set()  # across all sets: the CLI's cuwf looks an id up in any set
+    # parameter orbits are dual-group orbits, so only a self-dual bundle
+    # holds them; otherwise parameter_orbits checks them on the dual
+    own = dual_group == "self"
     for ps_doc in ps_docs:
         ic = _need(ps_doc, "ic_orbit", str, "parameter set")
-        if ic not in labels:
+        if own and ic not in labels:
             raise SchemaError(f"parameter set references unknown orbit {ic!r}")
         if any(ps.ic_orbit == ic for ps in param_sets):
             raise SchemaError(f"duplicate parameter set at {ic!r}")
@@ -292,7 +302,7 @@ def parse_bundle(source) -> GroupBundle:
                 raise SchemaError(f"duplicate parameter id {pid!r}")
             ids.add(pid)
             n_orbit = _need(pd, "n_orbit", str, f"parameter {pid}")
-            if n_orbit not in labels:
+            if own and n_orbit not in labels:
                 raise SchemaError(
                     f"parameter {pid} references unknown orbit {n_orbit!r}"
                 )
@@ -562,11 +572,13 @@ def _check_az_links(bundle):
 
 
 @_check
-def _check_parameter_orbits(bundle, poset):
+def _check_parameter_orbits(bundle, dual):
+    if dual is None:
+        return True, "skipped: no dual-group data"
     bad = []
     for ps in bundle.parameter_sets:
         for x in ps.params:
-            if not poset.leq(x.n_orbit, ps.ic_orbit):
+            if not dual.leq(x.n_orbit, ps.ic_orbit):
                 bad.append(f"{x.id}: {x.n_orbit} not below {ps.ic_orbit}")
     return not bad, _brief(bad)
 
@@ -592,7 +604,7 @@ def validate_bundle(
             _check_weighted_dynkin(poset),
             _check_dynkin_dims(poset),
             _check_az_links(bundle),
-            _check_parameter_orbits(bundle, poset),
+            _check_parameter_orbits(bundle, dual_poset),
         )
     }
     # a separate dual bundle's failure shows where the bundle's own passed

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from outcome_sweep import relabelled_pair
 from test_data import FIELD_PATHS, REPLACEMENTS
 
 from orbitduality import cli, data, packets
@@ -340,7 +341,8 @@ def test_dual_bundle_breaking_the_packet_laws_exits_2(
     capsys, tmp_path, bundle_path, command
 ):
     # the cover F4(a2) < B2 leaves the dual bundle two minimal orbits, so
-    # its closure order fails and the packet queries never run
+    # its closure order fails and the packet queries never run; the
+    # parameter orbits, read in that broken order, fail too
     doc = json.loads(data.builtin_bundle_text("f4"))
     doc["closure"][doc["closure"].index(["B2", "C3(a1)"])] = ["F4(a2)", "B2"]
     partner = tmp_path / "partner.json"
@@ -351,11 +353,35 @@ def test_dual_bundle_breaking_the_packet_laws_exits_2(
     assert code == 2 and "Traceback" not in err
     detail = "dual bundle: group F4 has no unique extreme orbit"
     if command == ["verify"]:
-        assert f"FAIL closure_order: {detail}\n" in out and "FAIL (6/8 checks)" in out
+        assert f"FAIL closure_order: {detail}\n" in out and "FAIL (5/8 checks)" in out
     elif command[-1] == "verify":
         assert json.loads(out)["validation"]["checks"][0]["details"] == detail
     else:
         assert out == "" and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["f4-main", "primed-main"])
+def test_distinct_dual_groups_name_parameter_orbits_in_the_dual(capsys, tmp_path, flip):
+    # F4 and a copy with every label but 0 primed, as each other's dual
+    main, partner = tmp_path / "main.json", tmp_path / "partner.json"
+    args = ["--bundle", str(main), "--dual-bundle", str(partner)]
+    for dual_labels in (True, False):
+        docs = relabelled_pair(dual_labels=dual_labels, flip=flip)
+        for path, doc in zip((main, partner), docs):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, *args, "verify")
+        if not dual_labels:
+            # orbits named in the bundle's own group are unknown in the dual
+            assert code == 2 and "FAIL parameter_orbits: unknown orbit" in out
+            continue
+        ic = "F4(a3)" if flip else "F4(a3)'"
+        assert code == 0 and "PASS (10/10 checks)" in out
+        assert f"ok   wavefront equalities and lower bound at {ic}\n" in out
+        code, out, _ = run_cli(capsys, *args, "packet", ic)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "X5", "X13", "X17", "X19", "X20",
+        ]
 
 
 COMMANDS = [

@@ -330,6 +330,22 @@ def test_parameter_orbit_bound(f4_doc):
     assert "parameter_orbits" in details
 
 
+def test_parameter_orbits_are_read_in_the_dual_group(f4_doc):
+    # a bundle with a separate dual parses any parameter orbit; the check
+    # reads it in the dual bundle, and is skipped when there is none
+    f4_doc["dual_group"] = "F4-partner"
+    f4_doc["parameter_sets"][0]["ic_orbit"] = "E8"
+    bundle = data.parse_bundle(json.dumps(f4_doc))
+    alone = {c.name: c for c in data.validate_bundle(bundle).checks}
+    assert alone["parameter_orbits"] == data.CheckResult(
+        "parameter_orbits", True, "skipped: no dual-group data"
+    )
+    paired = {c.name: c for c in data.validate_bundle(bundle, bundle).checks}
+    assert paired["parameter_orbits"] == data.CheckResult(
+        "parameter_orbits", False, "unknown orbit 'E8' in group F4"
+    )
+
+
 def test_bar_class_missing_trivial(f4_doc):
     f4_doc["bar_a"]["F4(a1)"] = ["(12)"]
     details = failed_names(f4_doc)
