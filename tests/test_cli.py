@@ -88,6 +88,18 @@ def test_orbits_import_leaves_out_bundle_and_packet_layers():
     } & loaded
 
 
+def test_dual_compiles_a_pinned_number_of_source_lines(bundle_path):
+    """Every CLI call compiles each package module it loads.  A change that
+    grows what ``dual 0`` loads edits this pin and says why."""
+    lines = run_fresh(
+        "import sys, orbitduality.cli as cli\n"
+        f"assert cli.run(['--bundle', {bundle_path!r}, 'dual', '0']) == 0\n"
+        "print(sum(len(open(m.__file__, encoding='utf-8').readlines())\n"
+        "          for n, m in sys.modules.items() if n.split('.')[0] == 'orbitduality'))"
+    )
+    assert int(lines) == 2022
+
+
 @pytest.mark.parametrize(
     "broken, argv, exit_code, loads_packets",
     [
