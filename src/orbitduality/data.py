@@ -288,10 +288,10 @@ def parse_bundle(source) -> GroupBundle:
     ids = set()  # across all sets: the CLI's cuwf looks an id up in any set
     # parameter orbits are dual-group orbits, so only a self-dual bundle
     # holds them; otherwise parameter_orbits checks them on the dual
-    own = dual_group == "self"
+    self_dual = dual_group == "self"
     for ps_doc in ps_docs:
         ic = _need(ps_doc, "ic_orbit", str, "parameter set")
-        if own and ic not in labels:
+        if self_dual and ic not in labels:
             raise SchemaError(f"parameter set references unknown orbit {ic!r}")
         if any(ps.ic_orbit == ic for ps in param_sets):
             raise SchemaError(f"duplicate parameter set at {ic!r}")
@@ -302,7 +302,7 @@ def parse_bundle(source) -> GroupBundle:
                 raise SchemaError(f"duplicate parameter id {pid!r}")
             ids.add(pid)
             n_orbit = _need(pd, "n_orbit", str, f"parameter {pid}")
-            if own and n_orbit not in labels:
+            if self_dual and n_orbit not in labels:
                 raise SchemaError(
                     f"parameter {pid} references unknown orbit {n_orbit!r}"
                 )
