@@ -21,11 +21,22 @@ categories:
   ``dual_group`` set to ``"F4-partner"``;
 - ``relabelled``: F4 paired with a copy whose labels, all but ``0``, are
   primed.  The pair is taken in both directions, with parameter orbits
-  named in the dual group or in the bundle's own group.
+  named in the dual group or in the bundle's own group;
+- ``dual-special-flipped``, ``dual-dim``, ``dual-n-orbit``, ``dual-az``:
+  a seeded sample of that category's edits, applied to a separate dual
+  bundle as in ``dual-ds``;
+- ``no-dual``: ``dual_group`` ``"F4-partner"`` and no dual bundle;
+- ``ic-orbit-unknown``, ``n-orbit-unknown``: a parameter orbit that F4
+  lacks, in the self-dual bundle;
+- ``ds-permuted``: every permutation of the five non-trivial ``d_s``
+  targets, the shipped table first.
+
+New categories go after the existing ones, so no case changes its id.
 
 A case's outcome is the ``SchemaError`` text, or else the validation
-report.  For a bundle that passes it also holds ``achar_dual`` on every bar
-class of ``pair.g`` and, at each parameter set's ``ic_orbit``,
+report, with ``dual_pair``'s ``SchemaError`` text if that fails after a
+passing report.  For a bundle that passes it also holds ``achar_dual`` on
+every bar class of ``pair.g`` and, at each parameter set's ``ic_orbit``,
 ``arthur_packet``, ``weak_packet`` and ``check_jiang``; each is the answer
 or ``ErrorType: message``.
 """
@@ -33,6 +44,8 @@ or ``ErrorType: message``.
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
 import json
 import random
 import sys
@@ -41,12 +54,18 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 OUTCOMES = HERE / "outcome_sweep.jsonl"
 SEED = 17
+DUAL_SAMPLE = 8  # cases per dual-side category
+
+
+@functools.cache
+def _shipped_text() -> str:
+    from orbitduality import data
+
+    return data.builtin_bundle_text("f4")
 
 
 def _shipped() -> dict:
-    from orbitduality import data
-
-    return json.loads(data.builtin_bundle_text("f4"))
+    return json.loads(_shipped_text())
 
 
 def _prime(label: str) -> str:
@@ -151,6 +170,23 @@ def cases() -> list[dict]:
             kind = "relabelled-" + ("primed" if flip else "plain") + (
                 "-dual-labels" if dual_labels else "-own-labels")
             add(kind, [["relabel", [], {"flip": flip, "dual_labels": dual_labels}]])
+    # appended below: a new category never moves an existing case's id
+    partner = [["set", ["dual_group"], "F4-partner"]]
+    single = {
+        kind: [e for c in out if c["id"].startswith(kind + "-") for e in c["edits"]]
+        for kind in ("special-flipped", "dim", "n-orbit", "az")
+    }
+    for kind, edits in single.items():
+        for edit in rng.sample(edits, min(len(edits), DUAL_SAMPLE)):
+            add("dual-" + kind, partner, [edit])
+    add("no-dual", partner)
+    add("ic-orbit-unknown", [["set", ["parameter_sets", 0, "ic_orbit"], "Q9"]])
+    add("n-orbit-unknown",
+        [["set", ["parameter_sets", 0, "parameters", 0, "n_orbit"], "Q9"]])
+    nontrivial = [(o, c) for o, t in doc["d_s"].items() for c in t if c != "1"]
+    targets = [doc["d_s"][o][c] for o, c in nontrivial]
+    for perm in itertools.permutations(targets):
+        add("ds-permuted", [["set", ["d_s", o, c], t] for (o, c), t in zip(nontrivial, perm)])
     return out
 
 
@@ -190,7 +226,10 @@ def outcome(main: str, dual: str | None) -> dict:
     found = {"report": report.to_text()}
     if not report.passed:
         return found
-    pair = data.dual_pair(bundle, dual_bundle)
+    try:
+        pair = data.dual_pair(bundle, dual_bundle)
+    except SchemaError as exc:
+        return {**found, "dual_pair": str(exc)}
     found["achar_dual"] = {
         f"{o}|{c}": _answer(achar_dual, pair, (o, c))
         for o, c in all_bar_classes(pair.g)
@@ -213,10 +252,21 @@ def line(case: dict) -> str:
 
 
 def main() -> int:
-    text = "".join(line(case) + "\n" for case in cases())
+    old = {}
+    if OUTCOMES.exists():
+        for raw in OUTCOMES.read_text(encoding="utf-8").splitlines():
+            old[json.loads(raw)["id"]] = raw
+    lines = [line(case) for case in cases()]
+    text = "".join(x + "\n" for x in lines)
     OUTCOMES.write_text(text, encoding="utf-8")
-    print(f"wrote {len(text.splitlines())} cases, {len(text.encode())} bytes "
+    print(f"wrote {len(lines)} cases, {len(text.encode())} bytes "
           f"to {OUTCOMES.relative_to(HERE.parent)}")
+    for x in lines:
+        case_id = json.loads(x)["id"]
+        if case_id not in old:
+            print(f"added {case_id}")
+        elif old[case_id] != x:
+            print(f"changed {case_id}")
     return 0
 
 
