@@ -4,13 +4,15 @@ A bundle is a JSON document carrying one group's orbit poset (as covering
 pairs), canonical-quotient class lists, the Sommers duality table, optional
 weighted Dynkin and dimension data, and optional parameter sets.  Loading
 is strict: structural problems raise SchemaError, semantic problems raise
-BundleValidationError naming the violated invariant.
+BundleValidationError naming the violated invariant.  Every check also runs
+on a separate dual bundle, which a bundle that is not self-dual requires.
 """
 
 from __future__ import annotations
 
 import json
 from functools import wraps
+from itertools import zip_longest
 
 from ._record import Record
 from .duality import DualPair, normalize_class, refined_duality_failures
@@ -47,9 +49,9 @@ class Parameter(Record):
 class ParameterSet(Record):
     """Parameters sharing one infinitesimal-character orbit in the dual group.
 
-    ``ic_orbit`` and each ``n_orbit`` name dual-group orbits: a self-dual
-    bundle's parse checks them against its own labels, and otherwise the
-    ``parameter_orbits`` check reads them in the dual bundle.
+    ``ic_orbit`` and each ``n_orbit`` name dual-group orbits.  Parsing does
+    not read them; the ``parameter_orbits`` check reads them in the dual
+    poset, which is the bundle's own when it is self-dual.
     """
 
     ic_orbit: str
@@ -286,13 +288,8 @@ def parse_bundle(source) -> GroupBundle:
     if not isinstance(ps_docs, list):
         raise SchemaError("parameter_sets must be a list")
     ids = set()  # across all sets: the CLI's cuwf looks an id up in any set
-    # parameter orbits are dual-group orbits, so only a self-dual bundle
-    # holds them; otherwise parameter_orbits checks them on the dual
-    self_dual = dual_group == "self"
     for ps_doc in ps_docs:
         ic = _need(ps_doc, "ic_orbit", str, "parameter set")
-        if self_dual and ic not in labels:
-            raise SchemaError(f"parameter set references unknown orbit {ic!r}")
         if any(ps.ic_orbit == ic for ps in param_sets):
             raise SchemaError(f"duplicate parameter set at {ic!r}")
         params = []
@@ -302,10 +299,6 @@ def parse_bundle(source) -> GroupBundle:
                 raise SchemaError(f"duplicate parameter id {pid!r}")
             ids.add(pid)
             n_orbit = _need(pd, "n_orbit", str, f"parameter {pid}")
-            if self_dual and n_orbit not in labels:
-                raise SchemaError(
-                    f"parameter {pid} references unknown orbit {n_orbit!r}"
-                )
             rho = pd.get("rho", "")
             iwahori = pd.get("iwahori", True)
             unitary = pd.get("unitary")
@@ -386,28 +379,23 @@ def bundle_poset(bundle: GroupBundle) -> BundlePoset:
     return poset
 
 
-def _poset_pair(bundle: GroupBundle, dual_bundle: GroupBundle | None):
-    """The bundle's poset and its dual-group poset, attached to each other.
+def dual_pair(bundle: GroupBundle, dual_bundle: GroupBundle | None = None) -> DualPair:
+    """The bundle's poset and its dual group's, attached to each other.
 
-    The dual side is None when the bundle is not self-dual and no dual
-    bundle is given.
+    A bundle whose ``dual_group`` is ``"self"`` is its own dual unless a
+    dual bundle is given; any other bundle needs one, else SchemaError.
     """
     g = bundle_poset(bundle)
     if dual_bundle is None:
-        return g, (g if bundle.dual_group == "self" else None)
+        if bundle.dual_group != "self":
+            raise SchemaError(
+                f"bundle declares dual group {bundle.dual_group!r}; "
+                f"a dual bundle is required"
+            )
+        return DualPair(g, g)
     gd = bundle_poset(dual_bundle)
     g.attach_dual(gd)
     gd.attach_dual(g)
-    return g, gd
-
-
-def dual_pair(bundle: GroupBundle, dual_bundle: GroupBundle | None = None) -> DualPair:
-    g, gd = _poset_pair(bundle, dual_bundle)
-    if gd is None:
-        raise SchemaError(
-            f"bundle declares dual group {bundle.dual_group!r}; "
-            f"a dual bundle is required"
-        )
     return DualPair(g, gd)
 
 
@@ -486,19 +474,18 @@ def _check_ds_table(bundle, poset, dual_labels):
     ]
     if extra:
         return False, "entries for undeclared classes " + _brief(extra)
-    if dual_labels is not None:
-        bad = [
-            f"({o}, {c}) -> {t}"
-            for o, table in bundle.d_s.items()
-            for c, t in table.items()
-            if t not in dual_labels
-        ]
-        if bad:
-            return False, "values outside dual group: " + _brief(bad)
-        image = {t for table in bundle.d_s.values() for t in table.values()}
-        missed = sorted(set(dual_labels) - image)
-        if missed:
-            return False, "not surjective, missing " + _brief(missed)
+    bad = [
+        f"({o}, {c}) -> {t}"
+        for o, table in bundle.d_s.items()
+        for c, t in table.items()
+        if t not in dual_labels
+    ]
+    if bad:
+        return False, "values outside dual group: " + _brief(bad)
+    image = {t for table in bundle.d_s.values() for t in table.values()}
+    missed = sorted(set(dual_labels) - image)
+    if missed:
+        return False, "not surjective, missing " + _brief(missed)
     return True, "total and surjective"
 
 
@@ -539,17 +526,16 @@ def _check_dynkin_dims(poset):
     rs = poset.root_system()
     if rs is None:
         return True, "skipped: no root system"
-    pos = positive_roots(rs)
-    dim_g = 2 * len(pos) + rs.rank
     bad = []
     for label in poset.labels:
         w = poset.weighted_dynkin(label)
         d = poset.dim(label)
         if w is None or d is None:
             continue
+        pos = positive_roots(rs)  # cached; costly at high rank, so read late
         pairings = [root_pairing(r, w) for r in pos]
         g0, g1 = pairings.count(0), pairings.count(2)
-        expect = dim_g - (2 * g0 + rs.rank) - g1
+        expect = 2 * len(pos) + rs.rank - (2 * g0 + rs.rank) - g1
         if expect != d:
             bad.append(f"{label}: dim {d} vs {expect} from weighted Dynkin")
     return not bad, _brief(bad)
@@ -573,13 +559,9 @@ def _check_az_links(bundle):
 
 @_check
 def _check_parameter_orbits(bundle, dual):
-    if dual is None:
-        return True, "skipped: no dual-group data"
-    bad = []
-    for ps in bundle.parameter_sets:
-        for x in ps.params:
-            if not dual.leq(x.n_orbit, ps.ic_orbit):
-                bad.append(f"{x.id}: {x.n_orbit} not below {ps.ic_orbit}")
+    bad = [f"{x.id}: {x.n_orbit} not below {ps.ic_orbit}"
+           for ps in bundle.parameter_sets for x in ps.params
+           if not dual.leq(x.n_orbit, ps.ic_orbit)]
     return not bad, _brief(bad)
 
 
@@ -589,47 +571,52 @@ def _check_duality_identities(pair: DualPair):
     return failure is None, failure or "embedding injective, D^3 = D, pr1∘D = d_S"
 
 
+def _side_checks(bundle, poset, dual, ready):
+    """Yield one side's checks, in report order, against ``dual``, the
+    other side's poset.  ``ready()``, asked after the first seven, tells
+    whether closure_order and ds_table passed on both sides."""
+    flags = {o.label: o.special for o in bundle.orbits}
+    yield _check_closure_order(poset, flags)
+    yield _check_bar_classes(poset)
+    yield _check_ds_table(bundle, poset, dual.labels)
+    yield _check_weighted_dynkin(poset)
+    yield _check_dynkin_dims(poset)
+    yield _check_az_links(bundle)
+    yield _check_parameter_orbits(bundle, dual)
+    if not ready():
+        yield CheckResult("d_duality", False, "skipped: prerequisite checks failed")
+        return
+    laws = (_check_d_duality(poset, dual), _check_special_flags(poset, flags))
+    yield from laws
+    if all(c.passed for c in laws):
+        yield _check_duality_identities(DualPair(poset, dual))
+
+
 def validate_bundle(
     bundle: GroupBundle, dual_bundle: GroupBundle | None = None
 ) -> ValidationReport:
-    """Run every invariant check and return the full report."""
-    poset, dual_poset = _poset_pair(bundle, dual_bundle)
-    flags = {o.label: o.special for o in bundle.orbits}
-    checks = {
-        c.name: c
-        for c in (
-            _check_closure_order(poset, flags),
-            _check_bar_classes(poset),
-            _check_ds_table(bundle, poset, dual_poset and dual_poset.labels),
-            _check_weighted_dynkin(poset),
-            _check_dynkin_dims(poset),
-            _check_az_links(bundle),
-            _check_parameter_orbits(bundle, dual_poset),
-        )
-    }
-    # a separate dual bundle's failure shows where the bundle's own passed
-    if dual_bundle is not None:
-        dual_flags = {o.label: o.special for o in dual_bundle.orbits}
-        for dual in (_check_closure_order(dual_poset, dual_flags),
-                     _check_ds_table(dual_bundle, dual_poset, poset.labels)):
-            if checks[dual.name].passed and not dual.passed:
-                detail = "dual bundle: " + dual.details
-                checks[dual.name] = CheckResult(dual.name, False, detail)
-    if dual_poset is None:
-        checks["d_duality"] = CheckResult(
-            "d_duality", True, "skipped: no dual-group data"
-        )
-    elif not (checks["closure_order"].passed and checks["ds_table"].passed):
-        checks["d_duality"] = CheckResult(
-            "d_duality", False, "skipped: prerequisite checks failed"
-        )
-    else:
-        checks["d_duality"] = _check_d_duality(poset, dual_poset)
-        checks["special_flags"] = _check_special_flags(poset, flags)
-        if checks["d_duality"].passed and checks["special_flags"].passed:
-            checks["duality_identities"] = _check_duality_identities(
-                DualPair(poset, dual_poset)
-            )
+    """Run every invariant check on the bundle, and on a dual bundle against it.
+
+    The report lists the bundle's checks; one that passes there and fails on
+    the dual bundle shows ``dual bundle: <details>``.  A bundle that is not
+    self-dual needs its dual bundle (``dual_pair``'s SchemaError).
+    """
+    pair = dual_pair(bundle, dual_bundle)
+    checks = {}
+
+    def ready():  # a failure on either side shows in checks by now
+        return checks["closure_order"].passed and checks["ds_table"].passed
+
+    own_side = _side_checks(bundle, pair.g, pair.gd, ready)
+    dual_side = () if dual_bundle is None else _side_checks(
+        dual_bundle, pair.gd, pair.g, ready)
+    # the sides yield the same names in step, so ready() reads both
+    for own, theirs in zip_longest(own_side, dual_side):
+        if own is None:
+            continue
+        if own.passed and theirs is not None and not theirs.passed:
+            own = CheckResult(own.name, False, "dual bundle: " + theirs.details)
+        checks[own.name] = own
     return ValidationReport(tuple(checks.values()))
 
 

@@ -186,7 +186,8 @@ def cases() -> list[dict]:
     nontrivial = [(o, c) for o, t in doc["d_s"].items() for c in t if c != "1"]
     targets = [doc["d_s"][o][c] for o, c in nontrivial]
     for perm in itertools.permutations(targets):
-        add("ds-permuted", [["set", ["d_s", o, c], t] for (o, c), t in zip(nontrivial, perm)])
+        add("ds-permuted",
+            [["set", ["d_s", o, c], t] for (o, c), t in zip(nontrivial, perm)])
     return out
 
 

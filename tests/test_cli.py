@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from outcome_sweep import relabelled_pair
-from test_data import FIELD_PATHS, REPLACEMENTS
+from test_data import FIELD_PATHS, PARAM, REPLACEMENTS
 
 from orbitduality import cli, data, packets
 from orbitduality.errors import InconsistentDataError
@@ -97,7 +97,7 @@ def test_dual_compiles_a_pinned_number_of_source_lines(bundle_path):
         "print(sum(len(open(m.__file__, encoding='utf-8').readlines())\n"
         "          for n, m in sys.modules.items() if n.split('.')[0] == 'orbitduality'))"
     )
-    assert int(lines) == 2022
+    assert int(lines) == 2009
 
 
 @pytest.mark.parametrize(
@@ -451,6 +451,66 @@ def test_duplicate_parameter_set_exits_2(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err.count("error:") == 1 and "duplicate parameter set" in err
+
+
+def _verify(capsys, main_doc, dual_doc, tmp_path):
+    """verify on the two documents: (exit code, stdout)."""
+    main, partner = tmp_path / "main.json", tmp_path / "partner.json"
+    main.write_text(json.dumps(main_doc), encoding="utf-8")
+    partner.write_text(json.dumps(dual_doc), encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "--bundle", str(main), "--dual-bundle", str(partner), "verify"
+    )
+    return code, out
+
+
+def _flip_flag(doc, label):
+    (rec,) = [o for o in doc["orbits"] if o["label"] == label]
+    rec["special"] = not rec["special"]
+
+
+@pytest.mark.parametrize(
+    "check, edit, detail",
+    [
+        ("special_flags", lambda d: _flip_flag(d, "B2"),
+         "flags disagree with d∘d fixed points at B2"),
+        ("dynkin_dims", lambda d: d["orbits"][8].update(dim=38),
+         "B2: dim 38 vs 36 from weighted Dynkin"),
+        ("az_links", lambda d: d["parameter_sets"][0]["parameters"][0].update(az="X99"),
+         "X1 links to missing partner X99"),
+        ("parameter_orbits", lambda d: d["parameter_sets"][0].update(ic_orbit="Q9"),
+         "unknown orbit 'Q9' in group F4"),
+    ],
+    ids=["flag", "dim", "az", "ic-orbit"],
+)
+def test_every_check_runs_on_the_dual_bundle(capsys, tmp_path, check, edit, detail):
+    clean = json.loads(data.builtin_bundle_text("f4"))
+    clean["dual_group"] = "F4-partner"
+    edited = json.loads(json.dumps(clean))
+    edit(edited)
+    # the dual bundle alone fails; then both do, and the bundle's own shows
+    for main, own in ((clean, False), (edited, True)):
+        code, out = _verify(capsys, main, edited, tmp_path)
+        shown = detail if own else "dual bundle: " + detail
+        assert code == 2 and f"FAIL {check}: {shown}\n" in out
+
+
+@pytest.mark.parametrize(
+    "path", [["parameter_sets", 0, "ic_orbit"], PARAM + ["n_orbit"]],
+    ids=["ic-orbit", "n-orbit"],
+)
+def test_unknown_parameter_orbit_fails_its_check(capsys, tmp_path, path):
+    # parse reads no parameter orbit; parameter_orbits reads them in the dual
+    doc = json.loads(data.builtin_bundle_text("f4"))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "Q9"
+    bundle = tmp_path / "f4.json"
+    bundle.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "--bundle", str(bundle), "verify")
+    assert code == 2
+    assert "FAIL parameter_orbits: unknown orbit 'Q9' in group F4\n" in out
 
 
 @pytest.mark.parametrize(

@@ -331,15 +331,10 @@ def test_parameter_orbit_bound(f4_doc):
 
 
 def test_parameter_orbits_are_read_in_the_dual_group(f4_doc):
-    # a bundle with a separate dual parses any parameter orbit; the check
-    # reads it in the dual bundle, and is skipped when there is none
+    # a bundle parses any parameter orbit; the check reads it in the dual
     f4_doc["dual_group"] = "F4-partner"
     f4_doc["parameter_sets"][0]["ic_orbit"] = "E8"
     bundle = data.parse_bundle(json.dumps(f4_doc))
-    alone = {c.name: c for c in data.validate_bundle(bundle).checks}
-    assert alone["parameter_orbits"] == data.CheckResult(
-        "parameter_orbits", True, "skipped: no dual-group data"
-    )
     paired = {c.name: c for c in data.validate_bundle(bundle, bundle).checks}
     assert paired["parameter_orbits"] == data.CheckResult(
         "parameter_orbits", False, "unknown orbit 'E8' in group F4"
@@ -370,10 +365,7 @@ def test_bar_class_missing_trivial(f4_doc):
         (lambda d: d["orbits"][0].update(weighted_dynkin=[0, 0]), "entries"),
         (lambda d: d["parameter_sets"][0]["parameters"].append(
             {"id": "X1", "n_orbit": "0", "az": "X1"}), "duplicate parameter"),
-        (lambda d: d["parameter_sets"][0]["parameters"][0].update(n_orbit="Q9"),
-         "unknown orbit"),
         (lambda d: d["bar_a"]["F4(a3)"].append("(12)"), "duplicate classes"),
-        (lambda d: d["parameter_sets"][0].update(ic_orbit="Q9"), "unknown orbit"),
     ],
 )
 def test_schema_errors(f4_doc, mutate, fragment):
@@ -619,15 +611,40 @@ def test_dual_bundle_closure_order_reads_its_own_flags(f4_doc):
     assert report.failures()[0].details == "regular orbit F4 is not flagged special"
 
 
-def test_non_self_dual_without_dual_skips_duality_checks(f4_doc):
+def test_non_self_dual_bundle_needs_its_dual_bundle(f4_doc):
     f4_doc["dual_group"] = "F4-partner"
-    bundle = data.parse_bundle(json.dumps(f4_doc))
-    report = data.validate_bundle(bundle)
-    assert report.passed
-    by_name = {c.name: c for c in report.checks}
-    assert "skipped" in by_name["d_duality"].details
-    with pytest.raises(SchemaError):
-        data.dual_pair(bundle)
+    text = json.dumps(f4_doc)
+    bundle = data.parse_bundle(text)
+    for call in (
+        lambda: data.validate_bundle(bundle),
+        lambda: data.load_bundle(text),
+        lambda: data.dual_pair(bundle),
+    ):
+        with pytest.raises(SchemaError) as err:
+            call()
+        assert str(err.value) == (
+            "bundle declares dual group 'F4-partner'; a dual bundle is required"
+        )
+
+
+def test_dynkin_dims_reads_the_roots_only_to_compare(f4_doc, monkeypatch):
+    # the positive roots cost about rank^4, so an orbit without both a dim
+    # and a weighted Dynkin diagram must not build them
+    class RootsRead(Exception):
+        pass
+
+    def refuse(rs):
+        raise RootsRead
+
+    monkeypatch.setattr(data, "positive_roots", refuse)
+    kept = f4_doc["orbits"][8]["weighted_dynkin"]
+    for rec in f4_doc["orbits"]:
+        del rec["weighted_dynkin"]
+    report = data.validate_bundle(data.parse_bundle(json.dumps(f4_doc)))
+    assert {c.name: c for c in report.checks}["dynkin_dims"].passed
+    f4_doc["orbits"][8]["weighted_dynkin"] = kept
+    with pytest.raises(RootsRead):
+        data.validate_bundle(data.parse_bundle(json.dumps(f4_doc)))
 
 
 def test_weighted_dynkin_coweights(f4_bundle):
