@@ -453,26 +453,10 @@ def test_duplicate_parameter_set_exits_2(capsys, tmp_path):
         assert err.count("error:") == 1 and "duplicate parameter set" in err
 
 
-def _verify(capsys, main_doc, dual_doc, tmp_path):
-    """verify on the two documents: (exit code, stdout)."""
-    main, partner = tmp_path / "main.json", tmp_path / "partner.json"
-    main.write_text(json.dumps(main_doc), encoding="utf-8")
-    partner.write_text(json.dumps(dual_doc), encoding="utf-8")
-    code, out, _ = run_cli(
-        capsys, "--bundle", str(main), "--dual-bundle", str(partner), "verify"
-    )
-    return code, out
-
-
-def _flip_flag(doc, label):
-    (rec,) = [o for o in doc["orbits"] if o["label"] == label]
-    rec["special"] = not rec["special"]
-
-
 @pytest.mark.parametrize(
     "check, edit, detail",
     [
-        ("special_flags", lambda d: _flip_flag(d, "B2"),
+        ("special_flags", lambda d: d["orbits"][8].update(special=True),
          "flags disagree with d∘d fixed points at B2"),
         ("dynkin_dims", lambda d: d["orbits"][8].update(dim=38),
          "B2: dim 38 vs 36 from weighted Dynkin"),
@@ -484,15 +468,20 @@ def _flip_flag(doc, label):
     ids=["flag", "dim", "az", "ic-orbit"],
 )
 def test_every_check_runs_on_the_dual_bundle(capsys, tmp_path, check, edit, detail):
-    clean = json.loads(data.builtin_bundle_text("f4"))
-    clean["dual_group"] = "F4-partner"
-    edited = json.loads(json.dumps(clean))
-    edit(edited)
+    # orbit 8 is B2: neither extreme, not special, dim 36
+    doc = json.loads(data.builtin_bundle_text("f4"))
+    doc["dual_group"] = "F4-partner"
+    main, partner = tmp_path / "main.json", tmp_path / "partner.json"
+    main.write_text(json.dumps(doc), encoding="utf-8")
+    edit(doc)
+    partner.write_text(json.dumps(doc), encoding="utf-8")
     # the dual bundle alone fails; then both do, and the bundle's own shows
-    for main, own in ((clean, False), (edited, True)):
-        code, out = _verify(capsys, main, edited, tmp_path)
-        shown = detail if own else "dual bundle: " + detail
+    for shown in ("dual bundle: " + detail, detail):
+        code, out, _ = run_cli(
+            capsys, "--bundle", str(main), "--dual-bundle", str(partner), "verify"
+        )
         assert code == 2 and f"FAIL {check}: {shown}\n" in out
+        main.write_text(json.dumps(doc), encoding="utf-8")
 
 
 @pytest.mark.parametrize(
