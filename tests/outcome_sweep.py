@@ -29,7 +29,10 @@ categories:
 - ``ic-orbit-unknown``, ``n-orbit-unknown``: a parameter orbit that F4
   lacks, in the self-dual bundle;
 - ``ds-permuted``: every permutation of the five non-trivial ``d_s``
-  targets, the shipped table first.
+  targets, the shipped table first;
+- ``suffix-relabelled``: each of the five non-special orbits renamed to
+  its special closure's label plus ``I``, then plus ``II``; only a type D
+  classical poset reads such a suffix as a twin decoration.
 
 New categories go after the existing ones, so no case changes its id.
 
@@ -188,6 +191,12 @@ def cases() -> list[dict]:
     for perm in itertools.permutations(targets):
         add("ds-permuted",
             [["set", ["d_s", o, c], t] for (o, c), t in zip(nontrivial, perm)])
+    closures = {"A1": "~A1", "~A1+A2": "F4(a3)", "A1+~A2": "F4(a3)",
+                "B2": "F4(a3)", "C3(a1)": "F4(a3)"}
+    for label, top in closures.items():
+        for suffix in ("I", "II"):
+            add("suffix-relabelled",
+                [["rename", [], {"label": label, "to": top + suffix}]])
     return out
 
 
@@ -197,6 +206,13 @@ def documents(case: dict):
     if case["edits"] and case["edits"][0][0] == "relabel":
         main, dual = relabelled_pair(**case["edits"][0][2])
         return json.dumps(main), json.dumps(dual)
+    if case["edits"] and case["edits"][0][0] == "rename":
+        args = case["edits"][0][2]
+
+        def rename(x):
+            return args["to"] if x == args["label"] else x
+
+        return json.dumps(_relabel(doc, rename, rename, rename)), None
     main = json.dumps(_apply(doc, case["edits"]))
     if case["dual_edits"] is None:
         return main, None
