@@ -78,7 +78,7 @@ def natural_key(param_id: str):
     """Sort X2 before X13: split runs of digits into integers."""
     key, num = [], ""
     for ch in param_id:
-        if ch.isdigit():
+        if ch.isdecimal():
             num += ch
         else:
             if num:
@@ -344,7 +344,7 @@ def parse_bundle(source) -> GroupBundle:
 # -- poset construction --------------------------------------------------------
 
 def bundle_poset(bundle: GroupBundle) -> BundlePoset:
-    """Build the orbit poset; self-dual bundles get themselves attached."""
+    """Build the orbit poset, with no dual attached: ``dual_pair`` pairs it."""
     try:
         rs = root_system(bundle.group_type, bundle.group_rank)
     except ValueError:
@@ -364,7 +364,7 @@ def bundle_poset(bundle: GroupBundle) -> BundlePoset:
     gid = bundle.group_type
     if not gid[-1].isdigit():
         gid = f"{gid}{bundle.group_rank}"
-    poset = BundlePoset(
+    return BundlePoset(
         group_id=gid,
         labels=bundle.labels(),
         covers=bundle.closure,
@@ -374,26 +374,21 @@ def bundle_poset(bundle: GroupBundle) -> BundlePoset:
         dynkin=dynkin,
         rs=rs,
     )
-    if bundle.dual_group == "self":
-        poset.attach_dual(poset)
-    return poset
 
 
 def dual_pair(bundle: GroupBundle, dual_bundle: GroupBundle | None = None) -> DualPair:
-    """The bundle's poset and its dual group's, attached to each other.
-
-    A bundle whose ``dual_group`` is ``"self"`` is its own dual unless a
-    dual bundle is given; any other bundle needs one, else SchemaError.
+    """The bundle's poset and its dual group's, attached to each other:
+    the one place posets are paired.  A bundle whose ``dual_group`` is
+    ``"self"`` is its own dual unless a dual bundle is given; any other
+    bundle needs one, else SchemaError.
     """
+    if dual_bundle is None and bundle.dual_group != "self":
+        raise SchemaError(
+            f"bundle declares dual group {bundle.dual_group!r}; "
+            f"a dual bundle is required"
+        )
     g = bundle_poset(bundle)
-    if dual_bundle is None:
-        if bundle.dual_group != "self":
-            raise SchemaError(
-                f"bundle declares dual group {bundle.dual_group!r}; "
-                f"a dual bundle is required"
-            )
-        return DualPair(g, g)
-    gd = bundle_poset(dual_bundle)
+    gd = g if dual_bundle is None else bundle_poset(dual_bundle)
     g.attach_dual(gd)
     gd.attach_dual(g)
     return DualPair(g, gd)
@@ -571,10 +566,11 @@ def _check_duality_identities(pair: DualPair):
     return failure is None, failure or "embedding injective, D^3 = D, pr1∘D = d_S"
 
 
-def _side_checks(bundle, poset, dual, ready):
-    """Yield one side's checks, in report order, against ``dual``, the
-    other side's poset.  ``ready()``, asked after the first seven, tells
+def _side_checks(bundle, pair, ready):
+    """Yield the checks of ``pair.g``, one side's poset, in report order,
+    against ``pair.gd``.  ``ready()``, asked after the first seven, tells
     whether closure_order and ds_table passed on both sides."""
+    poset, dual = pair.g, pair.gd
     flags = {o.label: o.special for o in bundle.orbits}
     yield _check_closure_order(poset, flags)
     yield _check_bar_classes(poset)
@@ -589,7 +585,7 @@ def _side_checks(bundle, poset, dual, ready):
     laws = (_check_d_duality(poset, dual), _check_special_flags(poset, flags))
     yield from laws
     if all(c.passed for c in laws):
-        yield _check_duality_identities(DualPair(poset, dual))
+        yield _check_duality_identities(pair)
 
 
 def validate_bundle(
@@ -607,9 +603,9 @@ def validate_bundle(
     def ready():  # a failure on either side shows in checks by now
         return checks["closure_order"].passed and checks["ds_table"].passed
 
-    own_side = _side_checks(bundle, pair.g, pair.gd, ready)
+    own_side = _side_checks(bundle, pair, ready)
     dual_side = () if dual_bundle is None else _side_checks(
-        dual_bundle, pair.gd, pair.g, ready)
+        dual_bundle, pair.flip(), ready)
     # the sides yield the same names in step, so ready() reads both
     for own, theirs in zip_longest(own_side, dual_side):
         if own is None:

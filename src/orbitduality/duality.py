@@ -10,9 +10,9 @@ the flipped pair is not itself in the image of the dual embedding.
 
 Each public call here (``achar_dual``, ``min_special_cover``,
 ``is_special_pair``, ``wavefronts`` and ``refined_duality_failures``)
-computes from one table of its own: at most 2·|B| Sommers-table lookups
-for |B| bar classes, |B| for a self-dual pair (21 on F4), and each
-minimal special cover searched once.  Nothing is kept between calls.
+computes from one table on one oriented pair: at most 2·|B| Sommers
+lookups for |B| bar classes, |B| for a self-dual pair (21 on F4), and
+each minimal special cover searched once.  Nothing is kept between calls.
 
 ``refined_duality_failures`` checks two laws of D: the embedding is
 injective and pr1∘D = d_S.  D^3 = D and order reversal hold by
@@ -86,22 +86,23 @@ def _flip_pair(p: OrbitPair) -> OrbitPair:
 def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
     """Whether the flipped embedded pair lies in the dual embedding image."""
     target = _flip_pair(embed(pair, bc))
-    return _DualityTable().unembed(pair.gd, target) is not None
+    return _DualityTable(pair).unembed(pair.gd, target) is not None
 
 
 class _DualityTable:
-    """Refined duality, memoized for the duration of one call.
+    """Refined duality on one oriented pair, memoized for one call.
 
     A poset's tabulation, every bar class's embedded pair in
     ``all_bar_classes`` order and each pair's preimages, is keyed by
-    poset.  A minimal special cover is keyed by the oriented pair's two
-    posets and the bar class, so a self-dual pair shares it with its flip.
-    Bar classes must already have passed ``pair.check``.
+    poset, so a self-dual pair tabulates its one poset once.  A minimal
+    special cover is keyed by its bar class.  Bar classes must already
+    have passed ``pair.check``.
     """
 
-    def __init__(self):
+    def __init__(self, pair: DualPair):
+        self.pair = pair
         self._sides = {}  # poset -> (pairs, hits)
-        self._covers = {}  # (g, gd, bar class) -> cover
+        self._covers = {}  # bar class -> cover
 
     def pairs(self, poset: NilpotentPoset, walked=None) -> dict[BarClass, OrbitPair]:
         """``poset``'s embedded pairs: |B| Sommers lookups on first use, or
@@ -126,10 +127,10 @@ class _DualityTable:
             )
         return hits[0] if hits else None
 
-    def cover(self, pair: DualPair, bc: BarClass) -> BarClass:
+    def cover(self, bc: BarClass) -> BarClass:
         """The unique smallest special bar class above bc."""
-        key = pair.g, pair.gd, bc  # DualPair equality, without its Python hash
-        if key not in self._covers:
+        pair = self.pair
+        if bc not in self._covers:
             pairs = self.pairs(pair.g)
             here = pairs[bc]
             above = [
@@ -138,29 +139,29 @@ class _DualityTable:
                 if self.unembed(pair.gd, _flip_pair(p)) is not None
                 and pair_leq(pair, here, p)
             ]
-            self._covers[key] = _least_one(
+            self._covers[bc] = _least_one(
                 above, lambda x, y: pair_leq(pair, pairs[x], pairs[y]),
                 lambda count: f"bar class {bc} of {pair.g.group_id} has "
                               f"{count} minimal special covers",
             )
-        return self._covers[key]
+        return self._covers[bc]
 
-    def dual(self, pair: DualPair, bc: BarClass) -> BarClass:
+    def dual(self, bc: BarClass) -> BarClass:
         """D(bc): embed the cover, flip, unembed on the dual side."""
-        cover = self.pairs(pair.g)[self.cover(pair, bc)]
-        return self.unembed(pair.gd, _flip_pair(cover))
+        cover = self.pairs(self.pair.g)[self.cover(bc)]
+        return self.unembed(self.pair.gd, _flip_pair(cover))
 
 
 def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:
     """The unique smallest special bar class above bc in the embedded order."""
     bc = pair.check(bc)
-    return _DualityTable().cover(pair, bc)
+    return _DualityTable(pair).cover(bc)
 
 
 def achar_dual(pair: DualPair, bc: BarClass) -> BarClass:
     """Refined duality: embed the minimal special cover, flip, unembed."""
     bc = pair.check(bc)
-    return _DualityTable().dual(pair, bc)
+    return _DualityTable(pair).dual(bc)
 
 
 def wavefronts(pair: DualPair, orbits):
@@ -172,10 +173,10 @@ def wavefronts(pair: DualPair, orbits):
     read and answered one at a time, so a caller that tests each answer as
     it comes sees errors in the order it asks.
     """
-    table = _DualityTable()
     dual = pair.flip()
+    table = _DualityTable(dual)
     for orbit in orbits:
-        bc = table.dual(dual, dual.check((orbit, "1")))
+        bc = table.dual(dual.check((orbit, "1")))
         yield orbit, (bc, table.pairs(pair.g)[bc])
 
 
@@ -201,9 +202,9 @@ def refined_duality_failures(pair: DualPair) -> str | None:
         if p in seen:
             return f"embedding collision: {seen[p]} and {bc} both map to {p}"
         seen[p] = bc
-    table = _DualityTable()
+    table = _DualityTable(pair)
     embedded = table.pairs(pair.g, {bc: p for p, bc in seen.items()})
-    refined = {bc: table.dual(pair, bc) for bc in embedded}
+    refined = {bc: table.dual(bc) for bc in embedded}
     for bc, once in refined.items():
         if embedded[bc][1] != once[0]:
             return f"pr1 of the refined dual differs from the Sommers image at {bc}"

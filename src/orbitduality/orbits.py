@@ -6,12 +6,6 @@ bar classes and Sommers table (whose trivial-class entries are the duality
 map ``d``) are filled once by the constructor and only read back after.
 ``ClassicalPoset`` fills them from partitions, ``BundlePoset`` from a
 data bundle.
-
-Type D partitions with all parts even correspond to two orbits; they are
-decorated ``I``/``II``, treated as incomparable to each other, with
-identical closures below, and the duality map carries the decoration
-across.  Specialness ignores the decoration, matching the coarse table
-data we ship; the d^3 = d law (``duality_failures``) compares exactly.
 """
 
 from __future__ import annotations
@@ -27,14 +21,6 @@ def partition_label(p: pt.Partition, decoration: str = "") -> str:
     return "(" + ",".join(str(x) for x in p) + ")" + decoration
 
 
-def _split_decoration(label: str) -> tuple[str, str]:
-    """Split off a type D label's ``I``/``II`` suffix: (body, decoration)."""
-    for suffix in ("II", "I"):
-        if label.endswith(suffix):
-            return label[: -len(suffix)], suffix
-    return label, ""
-
-
 class NilpotentPoset:
     """One orbit poset, read from tables its constructor fills once.
 
@@ -44,7 +30,8 @@ class NilpotentPoset:
     (the trivial class ``"1"`` alone when absent); ``ds`` is the Sommers
     table, mapping (orbit label, class label) to a dual-group orbit label,
     and the duality map ``d`` is its trivial-class entry.  Subclasses fill
-    the tables and provide ``dual``.
+    the tables and provide ``dual``.  Specialness compares labels through
+    ``_image_key``, the label itself unless ``ClassicalPoset`` coarsens it.
     """
 
     def __init__(self, group_id, below, bar_a, ds,
@@ -110,9 +97,11 @@ class NilpotentPoset:
                 f"unknown orbit {label!r} in group {self.group_id}"
             )
 
+    def _image_key(self, label: str) -> str:
+        return label
+
     def same_image(self, a: str, b: str) -> bool:
-        """Label equality, ignoring the type D I/II decoration."""
-        return a == b or _split_decoration(a)[0] == _split_decoration(b)[0]
+        return a == b or self._image_key(a) == self._image_key(b)
 
     def zero(self) -> str:
         return _least_one(self.labels, self.leq, self._no_extreme)
@@ -167,7 +156,7 @@ def duality_failures(poset: NilpotentPoset, dual: NilpotentPoset):
     """The first law of ``d`` that fails, as (what fails, where), or None.
 
     In order: d^3 = d, exactly; d reverses the closure order; the special
-    orbits are the image of the dual's ``d``, up to ``same_image``.
+    orbits are the image of the dual's ``d``, up to ``poset._image_key``.
     """
     bad = [a for a in poset.labels if poset.d(dual.d(poset.d(a))) != poset.d(a)]
     if bad:
@@ -176,9 +165,9 @@ def duality_failures(poset: NilpotentPoset, dual: NilpotentPoset):
            if poset.leq(a, b) and not dual.leq(poset.d(b), poset.d(a))]
     if bad:
         return "order reversal fails", bad
-    image = {_split_decoration(dual.d(b))[0] for b in dual.labels}
+    image = {poset._image_key(dual.d(b)) for b in dual.labels}
     bad = [a for a in poset.labels if poset.same_image(dual.d(poset.d(a)), a)
-           != (_split_decoration(a)[0] in image)]
+           != (poset._image_key(a) in image)]
     if bad:
         return "specials differ from the image of d", bad
     return None
@@ -218,8 +207,14 @@ def _classical_d(family: str, part: pt.Partition, dec: str) -> str:
 class ClassicalPoset(NilpotentPoset):
     """Orbit poset of a classical group: its tables filled from partitions.
 
-    The closure order is dominance, with decorated twins incomparable;
-    ``d`` is the transpose collapsed into the dual family.
+    The closure order is dominance; ``d`` is the transpose collapsed into
+    the dual family.
+
+    Type D partitions with all parts even correspond to two orbits; they
+    are decorated ``I``/``II``, treated as incomparable to each other, with
+    identical closures below, and the duality map carries the decoration
+    across.  Specialness ignores the decoration (``_image_key``), matching
+    the coarse table data we ship.
     """
 
     def __init__(self, family: str, rank: int):
@@ -250,6 +245,9 @@ class ClassicalPoset(NilpotentPoset):
                 for a in part},
             rs=root_system(family, rank),
         )
+
+    def _image_key(self, label: str) -> str:
+        return label.rstrip("I")  # the decoration follows the closing ")"
 
     def partition_of(self, label: str) -> pt.Partition:
         self.check_label(label)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from outcome_sweep import relabelled_pair
+from outcome_sweep import cases, documents, relabelled_pair
 from test_data import FIELD_PATHS, PARAM, REPLACEMENTS
 
 from orbitduality import cli, data, packets
@@ -97,7 +97,7 @@ def test_dual_compiles_a_pinned_number_of_source_lines(bundle_path):
         "print(sum(len(open(m.__file__, encoding='utf-8').readlines())\n"
         "          for n, m in sys.modules.items() if n.split('.')[0] == 'orbitduality'))"
     )
-    assert int(lines) == 2009
+    assert int(lines) == 2004
 
 
 @pytest.mark.parametrize(
@@ -200,6 +200,22 @@ def test_unicode_label_arguments(capsys, bundle_path):
     plain = run_cli(capsys, "--bundle", bundle_path, "packet", "F4(a3)")
     assert plain[0] == 0 and plain[1].startswith("X5 ")
     assert run_cli(capsys, "--bundle", bundle_path, "packet", "F4(a₃)") == plain
+
+
+def test_parameter_ids_with_non_decimal_digits(capsys, tmp_path):
+    # '²'.isdigit() holds but int('²') fails; '٣' is an Arabic-Indic three
+    doc = json.loads(data.builtin_bundle_text("f4"))
+    renamed = {"X1": "X²", "X3": "X٣"}
+    for x in doc["parameter_sets"][0]["parameters"]:
+        x["id"] = renamed.get(x["id"], x["id"])
+        x["az"] = renamed.get(x["az"], x["az"])
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "--bundle", str(path), "list")
+    assert code == 0
+    ids = [line.split()[0] for line in out.splitlines() if line.startswith("X")]
+    assert ids[:4] == ["X²", "X2", "X٣", "X4"]
+    assert run_cli(capsys, "--bundle", str(path), "verify")[0] == 0
 
 
 def test_json_mirrors_text(capsys, bundle_path):
@@ -394,6 +410,23 @@ def test_distinct_dual_groups_name_parameter_orbits_in_the_dual(capsys, tmp_path
         assert [line.split()[0] for line in out.splitlines()] == [
             "X5", "X13", "X17", "X19", "X20",
         ]
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in cases() if c["id"].startswith("suffix-relabelled-")],
+    ids=lambda case: case["edits"][0][2]["to"] + "-" + case["edits"][0][2]["label"],
+)
+def test_bundle_labels_ending_in_i_compare_exactly(capsys, tmp_path, case):
+    # a non-special orbit renamed to its special closure's label plus I or
+    # II is still non-special: only classical type D twins drop the suffix
+    renamed = case["edits"][0][2]["to"]
+    path = tmp_path / "f4.json"
+    path.write_text(documents(case)[0], encoding="utf-8")
+    code, out, _ = run_cli(capsys, "--bundle", str(path), "verify")
+    assert code == 0 and "PASS (10/10 checks)" in out
+    code, out, _ = run_cli(
+        capsys, "--bundle", str(path), "special-piece", renamed.rstrip("I"))
+    assert code == 0 and renamed in out.split()
 
 
 COMMANDS = [

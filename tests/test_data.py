@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from orbitduality import data
 from orbitduality.duality import DualPair, achar_dual, all_bar_classes, embed, pair_leq
-from orbitduality.errors import BundleValidationError, OrbitDualityError, SchemaError
+from orbitduality.errors import (
+    BundleValidationError,
+    MissingTableError,
+    OrbitDualityError,
+    SchemaError,
+)
 from orbitduality.orbits import BundlePoset, classical_poset
 from orbitduality.rootdata import Coweight
 
@@ -609,6 +614,13 @@ def test_dual_bundle_closure_order_reads_its_own_flags(f4_doc):
     f4_doc["orbits"][-1]["special"] = False  # the bundle's own failure wins
     report = data.validate_bundle(data.parse_bundle(json.dumps(f4_doc)), dual)
     assert report.failures()[0].details == "regular orbit F4 is not flagged special"
+
+
+def test_only_dual_pair_attaches_duals(f4_bundle):
+    with pytest.raises(MissingTableError):
+        data.bundle_poset(f4_bundle).is_special("0")
+    for pair in (data.dual_pair(f4_bundle), data.dual_pair(f4_bundle, f4_bundle)):
+        assert pair.g.dual is pair.gd and pair.gd.dual is pair.g
 
 
 def test_non_self_dual_bundle_needs_its_dual_bundle(f4_doc):

@@ -199,8 +199,7 @@ def test_distinct_dual_posets_are_tabulated_separately(f4_bundle, sommers_calls)
 
 def test_distinct_dual_posets_keep_separate_covers(f4_bundle, cover_searches):
     # the check takes D on pair.g alone, one search per bar class; D on the
-    # flip, keyed apart from it, is never needed (D^3 = D holds by
-    # construction)
+    # flip is never needed (D^3 = D holds by construction)
     pair = data.dual_pair(f4_bundle, f4_bundle)
     assert data._check_duality_identities(pair).passed
     assert len(cover_searches) == 21
@@ -236,8 +235,9 @@ def test_duality_tables_leave_no_reference_cycle(f4_pair, f4_params):
         gc.enable()
 
 
-# the self-dual F4 pair equals its flip, so one tabulation (21 reads) and
-# 21 cover searches serve both orientations
+# the self-dual F4 pair has one poset, so a call's table tabulates it once
+# (21 reads) for both sides; each call asks one orientation and searches
+# each cover it needs once
 @pytest.mark.parametrize(
     "call,reads,searches",
     [
