@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,11 @@ from orbitduality.duality import (
 )
 from orbitduality.errors import (
     GroupMismatchError,
+    InconsistentDataError,
     NonUniqueCoverError,
     UnknownLabelError,
 )
-from orbitduality.orbits import BundlePoset, classical_poset
+from orbitduality.orbits import BundlePoset, _least_one, classical_poset
 from orbitduality.packets import arthur_packet, check_jiang, cuwf, weak_packet
 
 GOLDEN_LIB = (
@@ -296,3 +298,108 @@ def test_only_duality_names_its_table():
         p.name for p in src.glob("*.py") if "_DualityTable" in p.read_text()
     )
     assert naming == ["duality.py"]
+
+
+# -- reference sweep for the cover search -----------------------------------
+# Validation rejects tables like these before any query runs, so the outcome
+# sweep never reaches their errors.  The reference is the plain search: every
+# cover tabulating both sides afresh, each bar class's flip unembedded and
+# every comparison a checked pair_leq, walked in all_bar_classes order.
+
+def _reference_pairs(poset):
+    return {bc: (bc[0], poset.sommers(*bc)) for bc in all_bar_classes(poset)}
+
+
+def _reference_unembed(poset, pairs, target):
+    hits = [bc for bc, p in pairs.items() if p == target]
+    if len(hits) > 1:
+        raise InconsistentDataError(
+            f"embedding of {poset.group_id} is not injective at {target}"
+        )
+    return hits[0] if hits else None
+
+
+def _reference_cover(pair, bc):
+    pairs, dual_pairs = _reference_pairs(pair.g), _reference_pairs(pair.gd)
+    here = pairs[bc]
+    above = [
+        other
+        for other, p in pairs.items()
+        if _reference_unembed(pair.gd, dual_pairs, (p[1], p[0])) is not None
+        and pair_leq(pair, here, p)
+    ]
+    return _least_one(
+        above, lambda x, y: pair_leq(pair, pairs[x], pairs[y]),
+        lambda count: f"bar class {bc} of {pair.g.group_id} has "
+                      f"{count} minimal special covers",
+    )
+
+
+def _reference_dual(pair, bc):
+    p = _reference_pairs(pair.g)[_reference_cover(pair, bc)]
+    return _reference_unembed(pair.gd, _reference_pairs(pair.gd), (p[1], p[0]))
+
+
+def _reference_wavefronts(pair, orbits):
+    for orbit in orbits:
+        bc = _reference_dual(pair.flip(), (orbit, "1"))
+        yield orbit, (bc, _reference_pairs(pair.g)[bc])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # any error is an outcome to compare
+        return f"{type(exc).__name__}: {exc}"
+
+
+_TOY_SHAPES = {  # labels, covering pairs; a and b (s and t) incomparable
+    5: (("0", "a", "b", "c", "r"),
+        (("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("c", "r"))),
+    4: (("0", "s", "t", "r"), (("0", "s"), ("0", "t"), ("s", "r"), ("t", "r"))),
+}
+
+
+def _toy_poset(rng, size, dual_labels, group_id):
+    labels, covers = _TOY_SHAPES[size]
+    bar_a = {o: ("1", "x", "y")[:rng.randint(1, 3)] for o in labels[1:]}
+    ds = {
+        (o, c): rng.choice(dual_labels) if rng.random() > 0.12 else "nowhere"
+        for o in labels for c in bar_a.get(o, ("1",))
+    }
+    return BundlePoset(group_id, labels, covers, bar_a, ds)
+
+
+def _toy_pairs(rng):
+    self_dual = _toy_poset(rng, 5, _TOY_SHAPES[5][0], "toy5")
+    g = _toy_poset(rng, 5, _TOY_SHAPES[4][0], "toy5'")
+    gd = _toy_poset(rng, 4, _TOY_SHAPES[5][0], "toy4")
+    return DualPair(self_dual, self_dual), DualPair(g, gd)
+
+
+def _cover_outcomes(pair, cover, dual, fronts):
+    out = []
+    for side in (pair, pair.flip()):
+        for bc in all_bar_classes(side.g):
+            out.append(_outcome(dual, side, bc))
+            out.append(_outcome(cover, side, bc))
+    out.append(_outcome(lambda: dict(fronts(pair, pair.gd.labels))))
+    return out
+
+
+def test_cover_search_matches_the_reference_on_seeded_toys():
+    rng = random.Random(20)
+    kinds = set()
+    for _ in range(80):
+        for pair in _toy_pairs(rng):
+            found = _cover_outcomes(
+                pair, min_special_cover, achar_dual, duality.wavefronts
+            )
+            expected = _cover_outcomes(
+                pair, _reference_cover, _reference_dual, _reference_wavefronts
+            )
+            assert found == expected, pair
+            kinds |= {o.split(":")[0] if isinstance(o, str) else "value"
+                      for o in expected}
+    assert kinds == {"value", "InconsistentDataError", "GroupMismatchError",
+                     "NonUniqueCoverError"}
