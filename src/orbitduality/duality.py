@@ -11,8 +11,10 @@ the flipped pair is not itself in the image of the dual embedding.
 Each public call here (``achar_dual``, ``min_special_cover``,
 ``is_special_pair``, ``wavefronts`` and ``refined_duality_failures``)
 computes from one table on one oriented pair: at most 2·|B| Sommers
-lookups for |B| bar classes, |B| for a self-dual pair (21 on F4), and
-each minimal special cover searched once.  Nothing is kept between calls.
+lookups for |B| bar classes, |B| for a self-dual pair (21 on F4), each
+bar class's special flag decided once, and each minimal special cover
+searched once, reading the order from the posets' lower sets with one
+label check.  Nothing is kept between calls.
 
 ``refined_duality_failures`` checks two laws of D: the embedding is
 injective and pr1∘D = d_S.  D^3 = D and order reversal hold by
@@ -79,6 +81,11 @@ def pair_leq(pair: DualPair, p: OrbitPair, q: OrbitPair) -> bool:
         raise GroupMismatchError(str(exc)) from None
 
 
+def _read_leq(pair: DualPair, p: OrbitPair, q: OrbitPair) -> bool:
+    """``pair_leq`` on labels known to name orbits, read from lower sets."""
+    return p[0] in pair.g._below[q[0]] and q[1] in pair.gd._below[p[1]]
+
+
 def _flip_pair(p: OrbitPair) -> OrbitPair:
     return (p[1], p[0])
 
@@ -94,14 +101,15 @@ class _DualityTable:
 
     A poset's tabulation, every bar class's embedded pair in
     ``all_bar_classes`` order and each pair's preimages, is keyed by
-    poset, so a self-dual pair tabulates its one poset once.  A minimal
-    special cover is keyed by its bar class.  Bar classes must already
-    have passed ``pair.check``.
+    poset, so a self-dual pair tabulates its one poset once.  A bar
+    class's special flag and its minimal special cover are keyed by the
+    bar class.  Bar classes must already have passed ``pair.check``.
     """
 
     def __init__(self, pair: DualPair):
         self.pair = pair
         self._sides = {}  # poset -> (pairs, hits)
+        self._special = {}  # bar class -> whether its flip unembeds
         self._covers = {}  # bar class -> cover
 
     def pairs(self, poset: NilpotentPoset, walked=None) -> dict[BarClass, OrbitPair]:
@@ -128,19 +136,26 @@ class _DualityTable:
         return hits[0] if hits else None
 
     def cover(self, bc: BarClass) -> BarClass:
-        """The unique smallest special bar class above bc."""
-        pair = self.pair
+        """The unique smallest special bar class above bc.
+
+        Walks the bar classes in order, deciding each special flag once per
+        table, and reads the order from lower sets.  Of the labels read, only
+        bc's Sommers value may name no dual orbit: the first ``pair_leq``, at
+        the first special class above bc's orbit, checks it.
+        """
+        pair, special = self.pair, self._special
         if bc not in self._covers:
             pairs = self.pairs(pair.g)
-            here = pairs[bc]
-            above = [
-                other
-                for other, p in pairs.items()
-                if self.unembed(pair.gd, _flip_pair(p)) is not None
-                and pair_leq(pair, here, p)
-            ]
+            here, leq, above = pairs[bc], pair_leq, []
+            for other, p in pairs.items():
+                if other not in special:
+                    special[other] = self.unembed(pair.gd, _flip_pair(p)) is not None
+                if special[other] and here[0] in pair.g._below[p[0]]:
+                    if leq(pair, here, p):
+                        above.append(other)
+                    leq = _read_leq
             self._covers[bc] = _least_one(
-                above, lambda x, y: pair_leq(pair, pairs[x], pairs[y]),
+                above, lambda x, y: _read_leq(pair, pairs[x], pairs[y]),
                 lambda count: f"bar class {bc} of {pair.g.group_id} has "
                               f"{count} minimal special covers",
             )

@@ -57,6 +57,20 @@ def sommers_calls(monkeypatch):
 
 
 @pytest.fixture()
+def label_checks(monkeypatch):
+    """The labels ``NilpotentPoset.check_label`` is asked to check."""
+    calls = []
+    real = NilpotentPoset.check_label
+
+    def counted(self, label):
+        calls.append(label)
+        return real(self, label)
+
+    monkeypatch.setattr(NilpotentPoset, "check_label", counted)
+    return calls
+
+
+@pytest.fixture()
 def cover_searches(monkeypatch):
     """The minimal-special-cover searches that run; memo hits never reach
     ``_least_one``, which each search calls once."""

@@ -262,6 +262,30 @@ def test_f4_calls_read_and_search_pinned_counts(
     assert (len(sommers_calls), len(cover_searches)) == (reads, searches)
 
 
+# the cover search reads both orders from lower sets, and one checked
+# pair_leq per search covers the one label there that may name no orbit, the
+# bar class's own Sommers value; the other checks are the callers' own and
+# the Sommers and bar-class reads that tabulate a poset
+@pytest.mark.parametrize(
+    "call,checks",
+    [
+        (lambda pair, ps: achar_dual(pair, ("B2", "1")), 42),
+        (arthur_packet, 164),
+        (check_jiang, 245),
+        (weak_packet, 1459),
+        (lambda pair, ps: data.validate_bundle(
+            data.parse_bundle(data.builtin_bundle_text("f4"))), 1290),
+    ],
+    ids=["achar_dual", "arthur_packet", "check_jiang", "weak_packet",
+         "validate_bundle"],
+)
+def test_f4_calls_check_pinned_label_counts(
+    f4_pair, f4_params, label_checks, call, checks
+):
+    call(f4_pair, f4_params)
+    assert len(label_checks) == checks
+
+
 def test_repeated_calls_keep_no_memo(f4_pair, f4_params, cover_searches):
     for _ in range(2):
         achar_dual(f4_pair, ("B2", "1"))
