@@ -153,7 +153,7 @@ class _DualityTable:
                 if special[other] and here[0] in pair.g._below[p[0]]:
                     if leq(pair, here, p):
                         above.append(other)
-                    leq = _read_leq
+                    leq = _read_leq  # bc's Sommers value is checked by now
             self._covers[bc] = _least_one(
                 above, lambda x, y: _read_leq(pair, pairs[x], pairs[y]),
                 lambda count: f"bar class {bc} of {pair.g.group_id} has "
