@@ -1,9 +1,9 @@
 """Command-line front end over bundle files.
 
 ``COMMANDS`` names each subcommand once, with its help text, positionals
-and handler.  ``build_parser`` declares them from it; ``run`` loads and
-validates the bundles, folds each label (every positional but
-``param_id``) through ``normalize_label``, runs the handler and prints.
+and handler.  ``build_parser`` declares them from it; ``run`` loads the
+bundles, pairs and validates them once, folds each label (every positional
+but ``param_id``) through ``normalize_label``, runs the handler and prints.
 
 Exit codes: 0 success, 1 domain errors (unknown labels, missing entries),
 2 I/O, schema, or validation failures; only ``verify`` runs on a bundle
@@ -202,10 +202,9 @@ def run(argv=None) -> int:
     try:
         dual_bundle = data.parse_bundle(args.dual_bundle) if args.dual_bundle else None
         bundle = data.parse_bundle(args.bundle)
-        report = data.validate_bundle(bundle, dual_bundle)
+        pair, report = data.validated_pair(bundle, dual_bundle)
         if not report.passed and handler is not _verify:
             raise BundleValidationError(report)
-        pair = data.dual_pair(bundle, dual_bundle)
     except BundleValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(exc.report.to_text(), file=sys.stderr)

@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     UnknownLabelError,
 )
-from .orbits import BundlePoset, duality_failures, order_failures
+from .orbits import BundlePoset, d_table, duality_failures, order_failures
 from .rootdata import Coweight, positive_roots, root_pairing, root_system
 
 FORMAT_VERSION = 1
@@ -210,6 +210,11 @@ def parse_bundle(source) -> GroupBundle:
     if not gtype:
         raise SchemaError("field 'type' in group is empty")
     grank = _need(group, "rank", int, "group")
+    orbit_docs = _need(doc, "orbits", list, "bundle")
+    if not orbit_docs:
+        raise SchemaError("bundle has no orbits")
+    if grank >= len(orbit_docs):  # every simple type has more orbits
+        raise SchemaError(f"rank {grank} is not below the orbit count {len(orbit_docs)}")
     node_order = group.get("node_order", list(range(1, grank + 1)))
     if not (isinstance(node_order, list) and all(map(_is_int, node_order))):
         raise SchemaError(f"node_order {node_order!r} must be a list of integers")
@@ -218,7 +223,6 @@ def parse_bundle(source) -> GroupBundle:
         raise SchemaError(f"node_order {node_order} is not a permutation")
     dual_group = _need(doc, "dual_group", str, "bundle")
 
-    orbit_docs = _need(doc, "orbits", list, "bundle")
     orbits = []
     labels = set()
     for od in orbit_docs:
@@ -242,8 +246,6 @@ def parse_bundle(source) -> GroupBundle:
                 )
             wd = tuple(wd)
         orbits.append(OrbitRecord(label, special, dim, wd))
-    if not orbits:
-        raise SchemaError("bundle has no orbits")
 
     closure = []
     for pair in _need(doc, "closure", list, "bundle"):
@@ -344,7 +346,7 @@ def parse_bundle(source) -> GroupBundle:
 # -- poset construction --------------------------------------------------------
 
 def bundle_poset(bundle: GroupBundle) -> BundlePoset:
-    """Build the orbit poset, with no dual attached: ``dual_pair`` pairs it."""
+    """Build the orbit poset, unpaired: ``dual_pair`` pairs it."""
     try:
         rs = root_system(bundle.group_type, bundle.group_rank)
     except ValueError:
@@ -377,10 +379,10 @@ def bundle_poset(bundle: GroupBundle) -> BundlePoset:
 
 
 def dual_pair(bundle: GroupBundle, dual_bundle: GroupBundle | None = None) -> DualPair:
-    """The bundle's poset and its dual group's, attached to each other:
-    the one place posets are paired.  A bundle whose ``dual_group`` is
-    ``"self"`` is its own dual unless a dual bundle is given; any other
-    bundle needs one, else SchemaError.
+    """The bundle's poset and its dual group's, each given the other's
+    ``d_table``: the one place posets are paired.  A bundle whose
+    ``dual_group`` is ``"self"`` is its own dual unless a dual bundle is
+    given; any other bundle needs one, else SchemaError.
     """
     if dual_bundle is None and bundle.dual_group != "self":
         raise SchemaError(
@@ -389,8 +391,7 @@ def dual_pair(bundle: GroupBundle, dual_bundle: GroupBundle | None = None) -> Du
         )
     g = bundle_poset(bundle)
     gd = g if dual_bundle is None else bundle_poset(dual_bundle)
-    g.attach_dual(gd)
-    gd.attach_dual(g)
+    g.dual_d, gd.dual_d = d_table(gd), d_table(g)
     return DualPair(g, gd)
 
 
@@ -597,6 +598,11 @@ def validate_bundle(
     the dual bundle shows ``dual bundle: <details>``.  A bundle that is not
     self-dual needs its dual bundle (``dual_pair``'s SchemaError).
     """
+    return validated_pair(bundle, dual_bundle)[1]
+
+
+def validated_pair(bundle, dual_bundle=None) -> tuple[DualPair, ValidationReport]:
+    """``dual_pair`` and ``validate_bundle``'s report on that pair."""
     pair = dual_pair(bundle, dual_bundle)
     checks = {}
 
@@ -613,7 +619,7 @@ def validate_bundle(
         if own.passed and theirs is not None and not theirs.passed:
             own = CheckResult(own.name, False, "dual bundle: " + theirs.details)
         checks[own.name] = own
-    return ValidationReport(tuple(checks.values()))
+    return pair, ValidationReport(tuple(checks.values()))
 
 
 def load_bundle(source, dual_bundle: GroupBundle | None = None) -> GroupBundle:

@@ -10,11 +10,10 @@ the flipped pair is not itself in the image of the dual embedding.
 
 Each public call here (``achar_dual``, ``min_special_cover``,
 ``is_special_pair``, ``wavefronts`` and ``refined_duality_failures``)
-computes from one table on one oriented pair: at most 2·|B| Sommers
-lookups for |B| bar classes, |B| for a self-dual pair (21 on F4), each
-bar class's special flag decided once, and each minimal special cover
-searched once, reading the order from the posets' lower sets with one
-label check.  Nothing is kept between calls.
+reads the pair's table, built on first use and kept with the pair: at
+most 2·|B| Sommers lookups for |B| bar classes, |B| for a self-dual pair
+(21 on F4), each special flag decided and each minimal special cover
+searched once, reading the order from lower sets with one label check.
 
 ``refined_duality_failures`` checks two laws of D: the embedding is
 injective and pr1∘D = d_S.  D^3 = D and order reversal hold by
@@ -36,13 +35,23 @@ def normalize_class(class_label: str) -> str:
 
 
 class DualPair(Record):
-    """An oriented pair of mutually dual orbit posets."""
+    """An oriented pair of mutually dual orbit posets.  It keeps one
+    refined-duality table per orientation, in a store ``flip()`` hands on."""
 
     g: NilpotentPoset
     gd: NilpotentPoset
 
+    def __post_init__(self):
+        object.__setattr__(self, "_tables", {})
+
     def flip(self) -> "DualPair":
-        return DualPair(self.gd, self.g)
+        flipped = DualPair(self.gd, self.g)
+        object.__setattr__(flipped, "_tables", self._tables)
+        return flipped
+
+    def _table(self) -> "_DualityTable":
+        key, tables = (self.g, self.gd), self._tables
+        return tables.get(key) or tables.setdefault(key, _DualityTable(*key))
 
     def check(self, bc: BarClass) -> BarClass:
         try:
@@ -93,21 +102,24 @@ def _flip_pair(p: OrbitPair) -> OrbitPair:
 def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
     """Whether the flipped embedded pair lies in the dual embedding image."""
     target = _flip_pair(embed(pair, bc))
-    return _DualityTable(pair).unembed(pair.gd, target) is not None
+    return pair._table().unembed(pair.gd, target) is not None
 
 
 class _DualityTable:
-    """Refined duality on one oriented pair, memoized for one call.
+    """Refined duality on the posets ``g`` and ``gd``, kept by their
+    ``DualPair``; it holds no pair, so no cycle keeps it alive, and
+    ``pair_leq`` reads it as one.
 
     A poset's tabulation, every bar class's embedded pair in
     ``all_bar_classes`` order and each pair's preimages, is keyed by
     poset, so a self-dual pair tabulates its one poset once.  A bar
     class's special flag and its minimal special cover are keyed by the
-    bar class.  Bar classes must already have passed ``pair.check``.
+    bar class, each stored once computed, so a call that raises changes
+    no later answer.  Bar classes must already have passed ``pair.check``.
     """
 
-    def __init__(self, pair: DualPair):
-        self.pair = pair
+    def __init__(self, g: NilpotentPoset, gd: NilpotentPoset):
+        self.g, self.gd = g, gd
         self._sides = {}  # poset -> (pairs, hits)
         self._special = {}  # bar class -> whether its flip unembeds
         self._covers = {}  # bar class -> cover
@@ -143,53 +155,53 @@ class _DualityTable:
         bc's Sommers value may name no dual orbit: the first ``pair_leq``, at
         the first special class above bc's orbit, checks it.
         """
-        pair, special = self.pair, self._special
+        special = self._special
         if bc not in self._covers:
-            pairs = self.pairs(pair.g)
+            pairs = self.pairs(self.g)
             here, leq, above = pairs[bc], pair_leq, []
             for other, p in pairs.items():
                 if other not in special:
-                    special[other] = self.unembed(pair.gd, _flip_pair(p)) is not None
-                if special[other] and here[0] in pair.g._below[p[0]]:
-                    if leq(pair, here, p):
+                    special[other] = self.unembed(self.gd, _flip_pair(p)) is not None
+                if special[other] and here[0] in self.g._below[p[0]]:
+                    if leq(self, here, p):
                         above.append(other)
                     leq = _read_leq  # bc's Sommers value is checked by now
             self._covers[bc] = _least_one(
-                above, lambda x, y: _read_leq(pair, pairs[x], pairs[y]),
-                lambda count: f"bar class {bc} of {pair.g.group_id} has "
+                above, lambda x, y: _read_leq(self, pairs[x], pairs[y]),
+                lambda count: f"bar class {bc} of {self.g.group_id} has "
                               f"{count} minimal special covers",
             )
         return self._covers[bc]
 
     def dual(self, bc: BarClass) -> BarClass:
         """D(bc): embed the cover, flip, unembed on the dual side."""
-        cover = self.pairs(self.pair.g)[self.cover(bc)]
-        return self.unembed(self.pair.gd, _flip_pair(cover))
+        cover = self.pairs(self.g)[self.cover(bc)]
+        return self.unembed(self.gd, _flip_pair(cover))
 
 
 def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:
     """The unique smallest special bar class above bc in the embedded order."""
     bc = pair.check(bc)
-    return _DualityTable(pair).cover(bc)
+    return pair._table().cover(bc)
 
 
 def achar_dual(pair: DualPair, bc: BarClass) -> BarClass:
     """Refined duality: embed the minimal special cover, flip, unembed."""
     bc = pair.check(bc)
-    return _DualityTable(pair).dual(bc)
+    return pair._table().dual(bc)
 
 
 def wavefronts(pair: DualPair, orbits):
     """Yield ``(orbit, (D(orbit, 1), its embedded pair))`` for each
     dual-side orbit in turn, D taken on ``pair.flip()`` and the pair in
-    ``pair.g``, all from one table; ``dict()`` of it is the map.
+    ``pair.g``, all from the flip's table; ``dict()`` of it is the map.
 
     Each label is checked just before its own lookups, and the orbits are
     read and answered one at a time, so a caller that tests each answer as
     it comes sees errors in the order it asks.
     """
     dual = pair.flip()
-    table = _DualityTable(dual)
+    table = dual._table()
     for orbit in orbits:
         bc = table.dual(dual.check((orbit, "1")))
         yield orbit, (bc, table.pairs(pair.g)[bc])
@@ -217,7 +229,7 @@ def refined_duality_failures(pair: DualPair) -> str | None:
         if p in seen:
             return f"embedding collision: {seen[p]} and {bc} both map to {p}"
         seen[p] = bc
-    table = _DualityTable(pair)
+    table = pair._table()
     embedded = table.pairs(pair.g, {bc: p for p, bc in seen.items()})
     refined = {bc: table.dual(bc) for bc in embedded}
     for bc, once in refined.items():

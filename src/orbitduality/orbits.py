@@ -30,8 +30,8 @@ class NilpotentPoset:
     (the trivial class ``"1"`` alone when absent); ``ds`` is the Sommers
     table, mapping (orbit label, class label) to a dual-group orbit label,
     and the duality map ``d`` is its trivial-class entry.  Subclasses fill
-    the tables and provide ``dual``.  Specialness compares labels through
-    ``_image_key``, the label itself unless ``ClassicalPoset`` coarsens it.
+    the tables and give ``is_special`` the dual's ``d``.  Specialness compares
+    labels through ``_image_key``, the label unless ``ClassicalPoset`` coarsens it.
     """
 
     def __init__(self, group_id, below, bar_a, ds,
@@ -294,25 +294,28 @@ def transitive_closure(labels, covers) -> dict[str, set[str]]:
 
 class BundlePoset(NilpotentPoset):
     """Orbit poset loaded from a data bundle: its tables filled from the
-    bundle's covering pairs, bar classes and Sommers table.
+    bundle's covering pairs, bar classes and Sommers table.  It holds no
+    partner: ``data.dual_pair`` sets ``dual_d``, the dual poset's ``d_table``.
     """
 
     def __init__(self, group_id, labels, covers, bar_a, ds,
                  dims=None, dynkin=None, rs: RootSystem | None = None):
         super().__init__(group_id, transitive_closure(labels, covers),
                          bar_a, ds, dims, dynkin, rs)
-        self._dual: NilpotentPoset | None = None
+        self.dual_d: NilpotentPoset | None = None
 
-    def attach_dual(self, other: "NilpotentPoset") -> None:
-        self._dual = other
-
-    @property
-    def dual(self) -> NilpotentPoset:
-        if self._dual is None:
+    def is_special(self, label: str) -> bool:
+        if self.dual_d is None:
             raise MissingTableError(
                 f"group {self.group_id} has no dual-group data attached"
             )
-        return self._dual
+        return self.same_image(self.dual_d.d(self.d(label)), label)
+
+
+def d_table(poset: NilpotentPoset) -> NilpotentPoset:
+    """What ``is_special`` reads of a dual poset: group id, labels, ``d``."""
+    return NilpotentPoset(poset.group_id, dict.fromkeys(poset.labels, ()), {},
+                          {k: t for k, t in poset._ds.items() if k[1] == "1"})
 
 
 # -- functional wrappers used by callers that hold a poset handle ------------

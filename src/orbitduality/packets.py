@@ -12,10 +12,10 @@ first projection.  ``Parameter`` and ``ParameterSet`` are defined in
 
 One packet query (``arthur_packet``, ``weak_packet`` or ``check_jiang``)
 reads the bound and every parameter's invariant from one call of
-``duality.wavefronts``: one refined-duality table, at most 2·|B|
-Sommers-table lookups for |B| bar classes, |B| for a self-dual pair (21
-on F4).  Each orbit's label is checked just before its own lookups, in
-the order the query asks.  Nothing is kept between calls.
+``duality.wavefronts``, on the refined-duality table the pair keeps: at
+most 2·|B| Sommers-table lookups for |B| bar classes in the pair's
+lifetime, |B| for a self-dual pair (21 on F4).  Each orbit's label is
+checked just before its own lookups, in the order the query asks.
 """
 
 from __future__ import annotations

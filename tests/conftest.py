@@ -31,6 +31,13 @@ def f4_pair(f4_bundle):
     return data.dual_pair(f4_bundle)
 
 
+@pytest.fixture()
+def fresh_f4_pair(f4_bundle):
+    """An F4 pair whose refined-duality table no earlier call has filled:
+    the session's ``f4_pair`` keeps its table from test to test."""
+    return data.dual_pair(f4_bundle)
+
+
 @pytest.fixture(scope="session")
 def f4_params(f4_bundle):
     return data.parameter_set(f4_bundle, "F4(a3)")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from outcome_sweep import cases, documents, relabelled_pair
-from test_data import FIELD_PATHS, PARAM, REPLACEMENTS
+from test_data import FIELD_PATHS, PARAM, REPLACEMENTS, _two_orbit_type_a_doc
 
 from orbitduality import cli, data, packets
 from orbitduality.errors import InconsistentDataError
@@ -97,7 +97,7 @@ def test_dual_compiles_a_pinned_number_of_source_lines(bundle_path):
         "print(sum(len(open(m.__file__, encoding='utf-8').readlines())\n"
         "          for n, m in sys.modules.items() if n.split('.')[0] == 'orbitduality'))"
     )
-    assert int(lines) == 2019
+    assert int(lines) == 2039
 
 
 @pytest.mark.parametrize(
@@ -171,12 +171,30 @@ def test_packet(capsys, bundle_path):
 
 
 def test_packet_reads_one_duality_table(capsys, bundle_path, sommers_calls):
-    # 431 reads validate the bundle; the packet and every member's cuwf
-    # then share one self-dual table, 21 reads, where a table per member
-    # would add 105
+    # 431 reads validate the bundle, 21 of them tabulating the pair's one
+    # self-dual table; the packet and every member's cuwf then read that
+    # table, where a fresh table would add 21 and a table per member 105
     code, _, _ = run_cli(capsys, "--bundle", bundle_path, "packet", "F4(a3)")
     assert code == 0
-    assert len(sommers_calls) == 452
+    assert len(sommers_calls) == 431
+
+
+def test_a_call_pairs_its_bundles_once(capsys, bundle_path, monkeypatch):
+    built = []
+    real = data.bundle_poset
+    monkeypatch.setattr(data, "bundle_poset", lambda b: built.append(b) or real(b))
+    for extra, posets in (((), 1), (("--dual-bundle", bundle_path), 2)):
+        built.clear()
+        code, out, _ = run_cli(capsys, "--bundle", bundle_path, *extra, "dual", "0")
+        assert (code, out, len(built)) == (0, "F4\n", posets)
+
+
+def test_rank_not_below_the_orbit_count_exits_2(capsys, tmp_path):
+    path = tmp_path / "a2000.json"
+    path.write_text(json.dumps(_two_orbit_type_a_doc(2000)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--bundle", str(path), "list")
+    assert (code, out) == (2, "")
+    assert err == "error: rank 2000 is not below the orbit count 2\n"
 
 
 def test_weak_packet(capsys, bundle_path):

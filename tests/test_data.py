@@ -13,8 +13,9 @@ from orbitduality.errors import (
     MissingTableError,
     OrbitDualityError,
     SchemaError,
+    UnknownLabelError,
 )
-from orbitduality.orbits import BundlePoset, classical_poset
+from orbitduality.orbits import BundlePoset, classical_poset, d_table
 from orbitduality.rootdata import Coweight
 
 
@@ -71,7 +72,7 @@ def test_identities_check_reports_non_unique_cover():
             ("r", "c"): "b",
         },
     )
-    poset.attach_dual(poset)
+    poset.dual_d = d_table(poset)
     result = data._check_duality_identities(DualPair(poset, poset))
     assert result.name == "duality_identities"
     assert not result.passed
@@ -185,8 +186,7 @@ MISSING_DS = {k: v for k, v in INJECTIVE_DS.items() if k != ("r", "c")}
 )
 def test_identities_check_matches_reference_on_toy_tables(g_ds, gd_ds, fragment):
     g, gd = _toy_poset("toy", g_ds), _toy_poset("toy-dual", gd_ds)
-    g.attach_dual(gd)
-    gd.attach_dual(g)
+    g.dual_d, gd.dual_d = d_table(gd), d_table(g)
     pair = DualPair(g, gd)
     result = data._check_duality_identities(pair)
     assert result == _reference_identities(pair)
@@ -616,11 +616,44 @@ def test_dual_bundle_closure_order_reads_its_own_flags(f4_doc):
     assert report.failures()[0].details == "regular orbit F4 is not flagged special"
 
 
-def test_only_dual_pair_attaches_duals(f4_bundle):
+def test_only_dual_pair_gives_posets_their_dual_tables(f4_bundle):
     with pytest.raises(MissingTableError):
         data.bundle_poset(f4_bundle).is_special("0")
     for pair in (data.dual_pair(f4_bundle), data.dual_pair(f4_bundle, f4_bundle)):
-        assert pair.g.dual is pair.gd and pair.gd.dual is pair.g
+        for poset, dual in ((pair.g, pair.gd), (pair.gd, pair.g)):
+            # the partner's group id, labels and d column, never the partner
+            table = poset.dual_d
+            assert table is not dual and not hasattr(poset, "dual")
+            assert (table.group_id, table.labels) == (dual.group_id, dual.labels)
+            assert [table.d(a) for a in table.labels] == [dual.d(a) for a in dual.labels]
+            with pytest.raises(UnknownLabelError, match="unknown orbit 'E8' in group F4"):
+                table.d("E8")
+        flagged = tuple(o.label for o in f4_bundle.orbits if o.special)
+        assert pair.g.specials() == pair.gd.specials() == flagged
+
+
+def _two_orbit_type_a_doc(rank):
+    return {
+        "format_version": 1,
+        "group": {"type": "A", "rank": rank},
+        "dual_group": "self",
+        "orbits": [{"label": "0", "special": True}, {"label": "reg", "special": True}],
+        "closure": [["0", "reg"]],
+        "bar_a": {},
+        "d_s": {"0": {"1": "reg"}, "reg": {"1": "0"}},
+        "provenance": {"d_s": "toy: the A1 orbits"},
+    }
+
+
+def test_rank_must_be_below_the_orbit_count():
+    # every simple type has more orbits than its rank, so a larger rank is
+    # refused before anything of rank size (node order, Cartan matrix) is built
+    assert data.validate_bundle(data.parse_bundle(json.dumps(
+        _two_orbit_type_a_doc(1)))).passed
+    for rank in (2, 2000):
+        with pytest.raises(SchemaError) as err:
+            data.parse_bundle(json.dumps(_two_orbit_type_a_doc(rank)))
+        assert str(err.value) == f"rank {rank} is not below the orbit count 2"
 
 
 def test_non_self_dual_bundle_needs_its_dual_bundle(f4_doc):

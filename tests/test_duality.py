@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitduality import data, duality
+from orbitduality import data, duality, orbits, packets
 from orbitduality.duality import (
     DualPair,
     achar_dual,
@@ -22,7 +22,7 @@ from orbitduality.errors import (
     NonUniqueCoverError,
     UnknownLabelError,
 )
-from orbitduality.orbits import BundlePoset, _least_one, classical_poset
+from orbitduality.orbits import BundlePoset, _least_one, classical_poset, d_table
 from orbitduality.packets import arthur_packet, check_jiang, cuwf, weak_packet
 
 GOLDEN_LIB = (
@@ -156,7 +156,7 @@ def test_non_unique_cover_raises():
             ("r", "c"): "b",
         },
     )
-    poset.attach_dual(poset)
+    poset.dual_d = d_table(poset)
     pair = DualPair(poset, poset)
     assert not is_special_pair(pair, ("0", "1"))
     assert is_special_pair(pair, ("a", "1"))
@@ -181,22 +181,26 @@ def test_refined_duality_matches_golden_answers(f4_pair):
             assert list(fn(pair, (o, c))) == golden[kind][f"{o}|{c}"], (kind, o, c)
 
 
-def test_self_dual_pair_is_tabulated_once(f4_pair, sommers_calls):
-    # g and its dual are one poset, so one tabulation serves both sides
-    assert f4_pair.g is f4_pair.gd
-    for bc in all_bar_classes(f4_pair.g):
-        sommers_calls.clear()
-        achar_dual(f4_pair, bc)
-        assert 0 < len(sommers_calls) <= 21, bc
+def test_self_dual_pair_is_tabulated_once(fresh_f4_pair, sommers_calls):
+    # g and its dual are one poset, so one tabulation serves both sides and
+    # both orientations, and the pair keeps it
+    pair = fresh_f4_pair
+    assert pair.g is pair.gd
+    for bc in all_bar_classes(pair.g):
+        achar_dual(pair, bc)
+        assert len(sommers_calls) == 21, bc
+        achar_dual(pair.flip(), bc)
+    assert len(sommers_calls) == 21
 
 
 def test_distinct_dual_posets_are_tabulated_separately(f4_bundle, sommers_calls):
+    # each orientation's table tabulates both posets once, on first use
     pair = data.dual_pair(f4_bundle, f4_bundle)
     assert pair.g is not pair.gd
-    for bc in all_bar_classes(pair.g):
-        sommers_calls.clear()
-        achar_dual(pair, bc)
-        assert len(sommers_calls) == 42, bc
+    for side, reads in ((pair, 42), (pair.flip(), 84)):
+        for bc in all_bar_classes(side.g):
+            achar_dual(side, bc)
+            assert len(sommers_calls) == reads, bc
 
 
 def test_distinct_dual_posets_keep_separate_covers(f4_bundle, cover_searches):
@@ -207,12 +211,12 @@ def test_distinct_dual_posets_keep_separate_covers(f4_bundle, cover_searches):
     assert len(cover_searches) == 21
 
 
-def test_unknown_bar_class_raises_before_any_lookup(f4_pair, sommers_calls):
+def test_unknown_bar_class_raises_before_any_lookup(fresh_f4_pair, sommers_calls):
     for fn in (achar_dual, min_special_cover):
         with pytest.raises(UnknownLabelError):
-            fn(f4_pair, ("E8", "1"))
+            fn(fresh_f4_pair, ("E8", "1"))
         with pytest.raises(UnknownLabelError):
-            fn(f4_pair, ("F4(a3)", "(13)"))
+            fn(fresh_f4_pair, ("F4(a3)", "(13)"))
     assert sommers_calls == []
 
 
@@ -223,23 +227,27 @@ def test_malformed_bar_class_raises_unknown_label(f4_pair):
                 fn(f4_pair, bc)
 
 
-def test_duality_tables_leave_no_reference_cycle(f4_pair, f4_params):
-    # a table and its flip must be freed by reference counting, not left
-    # to the cyclic garbage collector after every call
+def test_duality_tables_leave_no_reference_cycle(f4_bundle):
+    # nothing that pairing, validating or a round of the session's queries
+    # builds waits for the cyclic garbage collector: posets hold no partner
+    # and tables no pair, so dropping a pair frees its tables
     gc.collect()
     gc.disable()
     try:
-        achar_dual(f4_pair, ("B2", "1"))
-        check_jiang(f4_pair, f4_params)
-        assert data._check_duality_identities(f4_pair).passed
+        assert data.validate_bundle(f4_bundle).passed
+        pair = data.dual_pair(f4_bundle)
+        for kind in F4_KINDS:
+            _f4_query(pair, f4_bundle, kind, _f4_arguments(f4_bundle, kind)[-1])
+        assert pair._tables
+        del pair
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-# the self-dual F4 pair has one poset, so a call's table tabulates it once
-# (21 reads) for both sides; each call asks one orientation and searches
-# each cover it needs once
+# the self-dual F4 pair has one poset, so its table tabulates it once (21
+# reads) for both sides; each call asks one orientation and searches each
+# cover it needs once.  These are first calls, on a pair no call has used.
 @pytest.mark.parametrize(
     "call,reads,searches",
     [
@@ -256,9 +264,9 @@ def test_duality_tables_leave_no_reference_cycle(f4_pair, f4_params):
          "weak_packet", "validate_bundle"],
 )
 def test_f4_calls_read_and_search_pinned_counts(
-    f4_pair, f4_params, sommers_calls, cover_searches, call, reads, searches
+    fresh_f4_pair, f4_params, sommers_calls, cover_searches, call, reads, searches
 ):
-    call(f4_pair, f4_params)
+    call(fresh_f4_pair, f4_params)
     assert (len(sommers_calls), len(cover_searches)) == (reads, searches)
 
 
@@ -280,17 +288,26 @@ def test_f4_calls_read_and_search_pinned_counts(
          "validate_bundle"],
 )
 def test_f4_calls_check_pinned_label_counts(
-    f4_pair, f4_params, label_checks, call, checks
+    fresh_f4_pair, f4_params, label_checks, call, checks
 ):
-    call(f4_pair, f4_params)
+    call(fresh_f4_pair, f4_params)
     assert len(label_checks) == checks
 
 
-def test_repeated_calls_keep_no_memo(f4_pair, f4_params, cover_searches):
+def test_repeated_calls_read_the_kept_table(
+    fresh_f4_pair, f4_params, sommers_calls, cover_searches
+):
+    # the pair keeps its table: a second round reads and searches nothing.
+    # Both orientations of the self-dual pair are one table, so the packet's
+    # 11 covers include achar_dual's
+    rounds = []
     for _ in range(2):
-        achar_dual(f4_pair, ("B2", "1"))
-        arthur_packet(f4_pair, f4_params)
-    assert len(cover_searches) == 2 * (1 + 11)
+        achar_dual(fresh_f4_pair, ("B2", "1"))
+        arthur_packet(fresh_f4_pair, f4_params)
+        rounds.append((len(sommers_calls), len(cover_searches)))
+        sommers_calls.clear()
+        cover_searches.clear()
+    assert rounds == [(21, 11), (0, 0)]
 
 
 def test_wavefronts_are_refined_duals_on_the_flip(f4_pair):
@@ -302,12 +319,18 @@ def test_wavefronts_are_refined_duals_on_the_flip(f4_pair):
         assert img == embed(f4_pair, bc)
 
 
-def test_wavefronts_check_each_label_when_it_is_reached(f4_pair, sommers_calls):
-    found = duality.wavefronts(f4_pair, ["F4(a3)", "E8"])
-    assert next(found)[0] == "F4(a3)"
-    assert sommers_calls
-    with pytest.raises(UnknownLabelError):
-        next(found)
+def test_wavefronts_check_each_label_when_it_is_reached(
+    fresh_f4_pair, sommers_calls
+):
+    # on a fresh table the first answer reads the table; on the warm one it
+    # reads nothing, and the unknown label still raises when it is reached
+    for reads in (21, 0):
+        found = duality.wavefronts(fresh_f4_pair, ["F4(a3)", "E8"])
+        assert next(found)[0] == "F4(a3)"
+        assert len(sommers_calls) == reads
+        with pytest.raises(UnknownLabelError):
+            next(found)
+        sommers_calls.clear()
 
 
 def test_refined_duality_failures_on_shipped_pairs(f4_bundle, f4_pair):
@@ -401,29 +424,92 @@ def _toy_pairs(rng):
     return DualPair(self_dual, self_dual), DualPair(g, gd)
 
 
-def _cover_outcomes(pair, cover, dual, fronts):
+def _cover_outcomes(pair, cover, dual, fronts, step=1):
+    """Every outcome on both sides, in bar-class order, or reversed with
+    ``step`` -1."""
     out = []
     for side in (pair, pair.flip()):
-        for bc in all_bar_classes(side.g):
+        for bc in all_bar_classes(side.g)[::step]:
             out.append(_outcome(dual, side, bc))
             out.append(_outcome(cover, side, bc))
-    out.append(_outcome(lambda: dict(fronts(pair, pair.gd.labels))))
+    out.append(_outcome(lambda: dict(fronts(pair, pair.gd.labels[::step]))))
     return out
 
 
 def test_cover_search_matches_the_reference_on_seeded_toys():
+    # each pair keeps its tables across three passes, the last in reverse
+    # order, so whatever a call that raised left in them changes no answer
     rng = random.Random(20)
     kinds = set()
     for _ in range(80):
         for pair in _toy_pairs(rng):
-            found = _cover_outcomes(
-                pair, min_special_cover, achar_dual, duality.wavefronts
-            )
-            expected = _cover_outcomes(
-                pair, _reference_cover, _reference_dual, _reference_wavefronts
-            )
-            assert found == expected, pair
-            kinds |= {o.split(":")[0] if isinstance(o, str) else "value"
-                      for o in expected}
+            for step in (1, 1, -1):
+                found = _cover_outcomes(
+                    pair, min_special_cover, achar_dual, duality.wavefronts, step
+                )
+                expected = _cover_outcomes(
+                    pair, _reference_cover, _reference_dual, _reference_wavefronts,
+                    step,
+                )
+                assert found == expected, (pair, step)
+                kinds |= {o.split(":")[0] if isinstance(o, str) else "value"
+                          for o in expected}
     assert kinds == {"value", "InconsistentDataError", "GroupMismatchError",
                      "NonUniqueCoverError"}
+
+
+# -- the 13 query kinds of an F4 session ---------------------------------------
+
+F4_KINDS = (
+    "achar_dual.g", "achar_dual.gd", "min_special_cover", "closure_leq",
+    "bvls_dual", "special_piece_of", "cuwf", "geometric_wf", "arthur_packet",
+    "weak_packet", "check_jiang", "check_infl_sum", "infl_sum_witness",
+)
+
+
+def _f4_arguments(bundle, kind):
+    labels = bundle.labels()
+    if kind in ("achar_dual.g", "achar_dual.gd", "min_special_cover"):
+        return [(o, c) for o in labels for c in bundle.bar_a.get(o, ("1",))]
+    if kind in ("closure_leq", "check_infl_sum", "infl_sum_witness"):
+        return [(a, b) for a in labels for b in labels]
+    if kind in ("bvls_dual", "special_piece_of"):
+        return [(o,) for o in labels]
+    if kind in ("cuwf", "geometric_wf"):
+        return [(x.id,) for ps in bundle.parameter_sets for x in ps]
+    return [(ps.ic_orbit,) for ps in bundle.parameter_sets]
+
+
+def _f4_query(pair, bundle, kind, args):
+    """The answer to one query of an F4 session on ``pair``."""
+    g, sets = pair.g, {ps.ic_orbit: ps for ps in bundle.parameter_sets}
+    param = {x.id: (ps, x) for ps in bundle.parameter_sets for x in ps}
+    target = bundle.parameter_sets[0].ic_orbit
+    calls = {
+        "achar_dual.g": lambda: achar_dual(pair, args),
+        "achar_dual.gd": lambda: achar_dual(pair.flip(), args),
+        "min_special_cover": lambda: min_special_cover(pair, args),
+        "closure_leq": lambda: orbits.closure_leq(g, *args),
+        "bvls_dual": lambda: orbits.bvls_dual(g, *args),
+        "special_piece_of": lambda: orbits.special_piece_of(g, *args),
+        "cuwf": lambda: cuwf(pair, *param[args[0]]),
+        "geometric_wf": lambda: packets.geometric_wf(pair, *param[args[0]]),
+        "arthur_packet": lambda: arthur_packet(pair, sets[args[0]]),
+        "weak_packet": lambda: weak_packet(pair, sets[args[0]]),
+        "check_jiang": lambda: check_jiang(pair, sets[args[0]]),
+        "check_infl_sum": lambda: packets.check_infl_sum(
+            g, *map(g.weighted_dynkin, args), target),
+        "infl_sum_witness": lambda: packets.infl_sum_witness(g, *args, target),
+    }
+    return calls[kind]()
+
+
+def test_kept_f4_table_answers_as_a_fresh_pair(f4_bundle):
+    rng = random.Random(21)
+    pair = data.dual_pair(f4_bundle)
+    for _ in range(10):
+        for kind in rng.sample(F4_KINDS, len(F4_KINDS)):
+            args = rng.choice(_f4_arguments(f4_bundle, kind))
+            fresh = _f4_query(data.dual_pair(f4_bundle), f4_bundle, kind, args)
+            assert _f4_query(pair, f4_bundle, kind, args) == fresh, (kind, args)
+

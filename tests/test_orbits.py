@@ -17,6 +17,7 @@ from orbitduality.orbits import (
     bvls_dual,
     classical_poset,
     closure_leq,
+    d_table,
     duality_failures,
     is_special,
     order_failures,
@@ -298,7 +299,7 @@ def test_non_unique_special_closure_raises():
         bar_a={},
         ds={("0", "1"): "r", ("a", "1"): "a", ("b", "1"): "b", ("r", "1"): "a"},
     )
-    poset.attach_dual(poset)
+    poset.dual_d = d_table(poset)
     # a, b are d-fixed; 0 and r are not
     assert poset.is_special("a") and poset.is_special("b")
     assert not poset.is_special("0")

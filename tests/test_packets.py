@@ -8,7 +8,7 @@ import pytest
 from orbitduality import data, packets
 from orbitduality.duality import DualPair, achar_dual, embed, pair_leq
 from orbitduality.errors import InconsistentDataError, UnknownLabelError
-from orbitduality.orbits import BundlePoset, classical_poset
+from orbitduality.orbits import BundlePoset, classical_poset, d_table
 from orbitduality.packets import (
     JiangReport,
     Parameter,
@@ -232,7 +232,7 @@ def _toy_pair():
         bar_a={},
         ds={("0", "1"): "r", ("a", "1"): "r", ("r", "1"): "0"},
     )
-    poset.attach_dual(poset)
+    poset.dual_d = d_table(poset)
     return DualPair(poset, poset)
 
 
