@@ -210,6 +210,8 @@ def parse_bundle(source) -> GroupBundle:
     if not gtype:
         raise SchemaError("field 'type' in group is empty")
     grank = _need(group, "rank", int, "group")
+    if grank < 1:
+        raise SchemaError(f"rank {grank} is below 1")
     orbit_docs = _need(doc, "orbits", list, "bundle")
     if not orbit_docs:
         raise SchemaError("bundle has no orbits")
@@ -495,10 +497,7 @@ def _check_d_duality(poset, dual):
 
 @_check
 def _check_special_flags(poset, flags):
-    bad = [
-        a for a in poset.labels
-        if poset.is_special(a) != flags.get(a, False)
-    ]
+    bad = [a for a in poset.labels if poset.is_special(a) != flags.get(a, False)]
     if bad:
         return False, "flags disagree with d∘d fixed points at " + _brief(bad)
     return True, ""

@@ -10,9 +10,9 @@ the flipped pair is not itself in the image of the dual embedding.
 
 Each public call here (``achar_dual``, ``min_special_cover``,
 ``is_special_pair``, ``wavefronts`` and ``refined_duality_failures``)
-reads the pair's table, built on first use and kept with the pair: at
-most 2·|B| Sommers lookups for |B| bar classes, |B| for a self-dual pair
-(21 on F4), each special flag decided and each minimal special cover
+reads the pair's table, built on first use and kept with the pair: |B|
+Sommers lookups per poset per pair for |B| bar classes, so 21 on the
+self-dual F4, each special flag decided and each minimal special cover
 searched once, reading the order from lower sets with one label check.
 
 ``refined_duality_failures`` checks two laws of D: the embedding is
@@ -35,14 +35,14 @@ def normalize_class(class_label: str) -> str:
 
 
 class DualPair(Record):
-    """An oriented pair of mutually dual orbit posets.  It keeps one
-    refined-duality table per orientation, in a store ``flip()`` hands on."""
+    """An oriented pair of mutually dual orbit posets.  Its store, which
+    ``flip()`` hands on, keeps a table per orientation and a tabulation per poset."""
 
     g: NilpotentPoset
     gd: NilpotentPoset
 
     def __post_init__(self):
-        object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_tables", ({}, {}))  # (tables, sides)
 
     def flip(self) -> "DualPair":
         flipped = DualPair(self.gd, self.g)
@@ -50,8 +50,8 @@ class DualPair(Record):
         return flipped
 
     def _table(self) -> "_DualityTable":
-        key, tables = (self.g, self.gd), self._tables
-        return tables.get(key) or tables.setdefault(key, _DualityTable(*key))
+        key, (tables, sides) = (self.g, self.gd), self._tables
+        return tables.get(key) or tables.setdefault(key, _DualityTable(*key, sides))
 
     def check(self, bc: BarClass) -> BarClass:
         try:
@@ -111,16 +111,16 @@ class _DualityTable:
     ``pair_leq`` reads it as one.
 
     A poset's tabulation, every bar class's embedded pair in
-    ``all_bar_classes`` order and each pair's preimages, is keyed by
-    poset, so a self-dual pair tabulates its one poset once.  A bar
+    ``all_bar_classes`` order and each pair's preimages, is in ``sides``,
+    keyed by poset and shared by both orientations: one per poset.  A bar
     class's special flag and its minimal special cover are keyed by the
     bar class, each stored once computed, so a call that raises changes
     no later answer.  Bar classes must already have passed ``pair.check``.
     """
 
-    def __init__(self, g: NilpotentPoset, gd: NilpotentPoset):
+    def __init__(self, g: NilpotentPoset, gd: NilpotentPoset, sides: dict):
         self.g, self.gd = g, gd
-        self._sides = {}  # poset -> (pairs, hits)
+        self._sides = sides  # poset -> (pairs, hits), shared by both orientations
         self._special = {}  # bar class -> whether its flip unembeds
         self._covers = {}  # bar class -> cover
 
@@ -211,10 +211,9 @@ def refined_duality_failures(pair: DualPair) -> str | None:
     """The first law of D that fails on ``pair``, as a report, or None.
 
     Checked, in order: the embedding of ``pair.g`` is injective, and
-    pr1∘D = d_S.  The injectivity walk goes in bar-class order, so a
-    collision is reported before a later class's missing table entry and
-    before the dual side is tabulated; the walk is then the table's
-    tabulation of ``pair.g``.
+    pr1∘D = d_S.  The injectivity walk stays apart from the tabulation,
+    which raises at the first missing entry: it reports a collision ahead
+    of a later missing entry, then is ``pair.g``'s tabulation if none is kept.
 
     D^3 = D and order reversal hold by construction once every D is
     defined, because both orders are reflexive and transitive.  A special

@@ -3,9 +3,9 @@ and its dual-group partner.
 
 There is one table-backed poset, ``NilpotentPoset``: the closure order,
 bar classes and Sommers table (whose trivial-class entries are the duality
-map ``d``) are filled once by the constructor and only read back after.
-``ClassicalPoset`` fills them from partitions, ``BundlePoset`` from a
-data bundle.
+map ``d``) are filled once by the constructor, ``ClassicalPoset``'s from
+partitions and ``BundlePoset``'s from a data bundle, and only read back
+after.  Its one ``is_special`` reads the dual's ``d`` from ``dual_d``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ class NilpotentPoset:
     and transitive.  ``bar_a`` maps an orbit to its bar classes
     (the trivial class ``"1"`` alone when absent); ``ds`` is the Sommers
     table, mapping (orbit label, class label) to a dual-group orbit label,
-    and the duality map ``d`` is its trivial-class entry.  Subclasses fill
-    the tables and give ``is_special`` the dual's ``d``.  Specialness compares
-    labels through ``_image_key``, the label unless ``ClassicalPoset`` coarsens it.
+    and the duality map ``d`` is its trivial-class entry.  ``is_special``
+    reads the dual's ``d`` from ``dual_d`` (None: MissingTableError) and
+    compares labels through ``_image_key``, which ``ClassicalPoset`` coarsens.
     """
+
+    dual_d: NilpotentPoset | None = None
 
     def __init__(self, group_id, below, bar_a, ds,
                  dims=None, dynkin=None, rs: RootSystem | None = None):
@@ -113,7 +115,12 @@ class NilpotentPoset:
         return f"group {self.group_id} has no unique extreme orbit"
 
     def is_special(self, label: str) -> bool:
-        return self.same_image(self.dual.d(self.d(label)), label)
+        dual = self.dual_d
+        if dual is None:
+            raise MissingTableError(
+                f"group {self.group_id} has no dual-group data attached"
+            )
+        return self.same_image(dual.d(self.d(label)), label)
 
     def specials(self) -> tuple[str, ...]:
         return tuple(a for a in self.labels if self.is_special(a))
@@ -257,6 +264,8 @@ class ClassicalPoset(NilpotentPoset):
     def dual(self) -> "ClassicalPoset":
         return classical_poset(_DUAL_FAMILY[self.family], self.rank)
 
+    dual_d = dual
+
     def sommers(self, label: str, class_label: str) -> str:
         self.check_label(label)
         if self.family != "A":
@@ -295,21 +304,13 @@ def transitive_closure(labels, covers) -> dict[str, set[str]]:
 class BundlePoset(NilpotentPoset):
     """Orbit poset loaded from a data bundle: its tables filled from the
     bundle's covering pairs, bar classes and Sommers table.  It holds no
-    partner: ``data.dual_pair`` sets ``dual_d``, the dual poset's ``d_table``.
+    partner: ``data.dual_pair`` sets ``dual_d`` to the dual's ``d_table``.
     """
 
     def __init__(self, group_id, labels, covers, bar_a, ds,
                  dims=None, dynkin=None, rs: RootSystem | None = None):
         super().__init__(group_id, transitive_closure(labels, covers),
                          bar_a, ds, dims, dynkin, rs)
-        self.dual_d: NilpotentPoset | None = None
-
-    def is_special(self, label: str) -> bool:
-        if self.dual_d is None:
-            raise MissingTableError(
-                f"group {self.group_id} has no dual-group data attached"
-            )
-        return self.same_image(self.dual_d.d(self.d(label)), label)
 
 
 def d_table(poset: NilpotentPoset) -> NilpotentPoset:

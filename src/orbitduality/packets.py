@@ -12,9 +12,9 @@ first projection.  ``Parameter`` and ``ParameterSet`` are defined in
 
 One packet query (``arthur_packet``, ``weak_packet`` or ``check_jiang``)
 reads the bound and every parameter's invariant from one call of
-``duality.wavefronts``, on the refined-duality table the pair keeps: at
-most 2·|B| Sommers-table lookups for |B| bar classes in the pair's
-lifetime, |B| for a self-dual pair (21 on F4).  Each orbit's label is
+``duality.wavefronts``, on the refined-duality table the pair keeps: |B|
+Sommers-table lookups per poset per pair for |B| bar classes, in the
+pair's lifetime (21 on the self-dual F4).  Each orbit's label is
 checked just before its own lookups, in the order the query asks.
 """
 

@@ -97,7 +97,7 @@ def test_dual_compiles_a_pinned_number_of_source_lines(bundle_path):
         "print(sum(len(open(m.__file__, encoding='utf-8').readlines())\n"
         "          for n, m in sys.modules.items() if n.split('.')[0] == 'orbitduality'))"
     )
-    assert int(lines) == 2039
+    assert int(lines) == 2038
 
 
 @pytest.mark.parametrize(
@@ -190,11 +190,13 @@ def test_a_call_pairs_its_bundles_once(capsys, bundle_path, monkeypatch):
 
 
 def test_rank_not_below_the_orbit_count_exits_2(capsys, tmp_path):
-    path = tmp_path / "a2000.json"
-    path.write_text(json.dumps(_two_orbit_type_a_doc(2000)), encoding="utf-8")
-    code, out, err = run_cli(capsys, "--bundle", str(path), "list")
-    assert (code, out) == (2, "")
-    assert err == "error: rank 2000 is not below the orbit count 2\n"
+    for rank, error in ((2000, "is not below the orbit count 2"),
+                        (0, "is below 1"), (-1, "is below 1"), (-5, "is below 1")):
+        path = tmp_path / f"a{rank}.json"
+        path.write_text(json.dumps(_two_orbit_type_a_doc(rank)), encoding="utf-8")
+        code, out, err = run_cli(capsys, "--bundle", str(path), "list")
+        assert (code, out) == (2, "")
+        assert err == f"error: rank {rank} {error}\n"
 
 
 def test_weak_packet(capsys, bundle_path):

@@ -654,6 +654,13 @@ def test_rank_must_be_below_the_orbit_count():
         with pytest.raises(SchemaError) as err:
             data.parse_bundle(json.dumps(_two_orbit_type_a_doc(rank)))
         assert str(err.value) == f"rank {rank} is not below the orbit count 2"
+    # no simple type has rank below 1, and the rank is refused as it is read
+    for rank in (0, -1, -5):
+        doc = _two_orbit_type_a_doc(rank)
+        del doc["orbits"]
+        with pytest.raises(SchemaError) as err:
+            data.parse_bundle(json.dumps(doc))
+        assert str(err.value) == f"rank {rank} is below 1"
 
 
 def test_non_self_dual_bundle_needs_its_dual_bundle(f4_doc):

@@ -193,11 +193,12 @@ def test_self_dual_pair_is_tabulated_once(fresh_f4_pair, sommers_calls):
     assert len(sommers_calls) == 21
 
 
-def test_distinct_dual_posets_are_tabulated_separately(f4_bundle, sommers_calls):
-    # each orientation's table tabulates both posets once, on first use
+def test_distinct_dual_posets_are_tabulated_once(f4_bundle, sommers_calls):
+    # the pair's store tabulates each poset once, on first use, and both
+    # orientations' tables read that one tabulation
     pair = data.dual_pair(f4_bundle, f4_bundle)
     assert pair.g is not pair.gd
-    for side, reads in ((pair, 42), (pair.flip(), 84)):
+    for side, reads in ((pair, 42), (pair.flip(), 42)):
         for bc in all_bar_classes(side.g):
             achar_dual(side, bc)
             assert len(sommers_calls) == reads, bc
@@ -238,7 +239,7 @@ def test_duality_tables_leave_no_reference_cycle(f4_bundle):
         pair = data.dual_pair(f4_bundle)
         for kind in F4_KINDS:
             _f4_query(pair, f4_bundle, kind, _f4_arguments(f4_bundle, kind)[-1])
-        assert pair._tables
+        assert all(pair._tables)  # orientation tables and poset tabulations
         del pair
         assert gc.collect() == 0
     finally:
@@ -248,6 +249,9 @@ def test_duality_tables_leave_no_reference_cycle(f4_bundle):
 # the self-dual F4 pair has one poset, so its table tabulates it once (21
 # reads) for both sides; each call asks one orientation and searches each
 # cover it needs once.  These are first calls, on a pair no call has used.
+# Validating F4 against a separate copy of itself runs every check on both
+# sides: each side's 410 reads besides the tabulation, each poset tabulated
+# once for both orientations (42), and the dual side's injectivity walk (21)
 @pytest.mark.parametrize(
     "call,reads,searches",
     [
@@ -259,9 +263,11 @@ def test_duality_tables_leave_no_reference_cycle(f4_bundle):
         (weak_packet, 566, 11),
         (lambda pair, ps: data.validate_bundle(
             data.parse_bundle(data.builtin_bundle_text("f4"))), 431, 21),
+        (lambda pair, ps: data.validate_bundle(
+            f4 := data.parse_bundle(data.builtin_bundle_text("f4")), f4), 883, 42),
     ],
     ids=["identities", "achar_dual", "cuwf", "arthur_packet", "check_jiang",
-         "weak_packet", "validate_bundle"],
+         "weak_packet", "validate_bundle", "validate_bundle_separate_dual"],
 )
 def test_f4_calls_read_and_search_pinned_counts(
     fresh_f4_pair, f4_params, sommers_calls, cover_searches, call, reads, searches

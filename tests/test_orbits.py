@@ -1,7 +1,10 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import orbitduality
 from conftest import LAW_RANKS, PIECE_RANKS
 from orbitduality import data
 from orbitduality import partitions as pt
@@ -242,11 +245,30 @@ def test_f4_closure_examples(f4_pair):
     assert all(closure_leq(g, a, a) for a in g.labels)
 
 
-def test_is_special_needs_an_attached_dual(f4_doc):
+def test_is_special_needs_an_attached_dual(f4_doc, f4_pair):
+    # an unpaired bundle poset, a partner's d_table and a bare table poset
+    # carry no dual of their own
     f4_doc["dual_group"] = "F4-partner"
-    poset = data.bundle_poset(data.parse_bundle(json.dumps(f4_doc)))
-    with pytest.raises(MissingTableError):
-        poset.is_special("0")
+    unpaired = data.bundle_poset(data.parse_bundle(json.dumps(f4_doc)))
+    bare = NilpotentPoset("toy", {"0": {"0"}}, {}, {("0", "1"): "0"})
+    for poset in (unpaired, f4_pair.g.dual_d, bare):
+        for call in (is_special, special_piece_of):
+            with pytest.raises(MissingTableError) as err:
+                call(poset, "0")
+            assert str(err.value) == (
+                f"group {poset.group_id} has no dual-group data attached")
+
+
+def test_only_nilpotent_poset_defines_is_special():
+    # specialness has one definition; subclasses differ only in dual_d
+    modules = [importlib.import_module(f"orbitduality.{m.name}")
+               for m in pkgutil.iter_modules(orbitduality.__path__)]
+    defining = sorted(
+        f"{m.__name__}.{name}" for m in modules for name, cls in vars(m).items()
+        if isinstance(cls, type) and cls.__module__ == m.__name__
+        and "is_special" in vars(cls)
+    )
+    assert defining == ["orbitduality.orbits.NilpotentPoset"]
 
 
 def test_f4_specials(f4_pair, f4_bundle):
