@@ -32,7 +32,10 @@ categories:
   targets, the shipped table first;
 - ``suffix-relabelled``: each of the five non-special orbits renamed to
   its special closure's label plus ``I``, then plus ``II``; only a type D
-  classical poset reads such a suffix as a twin decoration.
+  classical poset reads such a suffix as a twin decoration;
+- ``paired-special-flipped``: every orbit's flag flipped in the main
+  bundle, paired as in ``dual-ds`` with an unedited dual bundle, so the
+  report shows the main bundle's failures and skips.
 
 New categories go after the existing ones, so no case changes its id.
 
@@ -197,6 +200,9 @@ def cases() -> list[dict]:
         for suffix in ("I", "II"):
             add("suffix-relabelled",
                 [["rename", [], {"label": label, "to": top + suffix}]])
+    for i, rec in enumerate(doc["orbits"]):
+        add("paired-special-flipped",
+            partner + [["set", ["orbits", i, "special"], not rec["special"]]], [])
     return out
 
 
