@@ -11,6 +11,7 @@ on a separate dual bundle, which a bundle that is not self-dual requires.
 from __future__ import annotations
 
 import json
+import re
 from functools import wraps
 from itertools import zip_longest
 
@@ -76,18 +77,8 @@ class ParameterSet(Record):
 
 def natural_key(param_id: str):
     """Sort X2 before X13: split runs of digits into integers."""
-    key, num = [], ""
-    for ch in param_id:
-        if ch.isdecimal():
-            num += ch
-        else:
-            if num:
-                key.append((1, int(num)))
-                num = ""
-            key.append((0, ch))
-    if num:
-        key.append((1, int(num)))
-    return key
+    return [(1, int(run)) if run.isdecimal() else (0, run)
+            for run in re.findall(r"\d+|\D", param_id)]
 
 
 class GroupBundle(Record):
@@ -511,7 +502,7 @@ def _check_weighted_dynkin(poset):
         if w is None:
             continue
         coords = [c // 2 for c in w.twice]
-        if any(c not in (0, 1, 2) for c in coords) or not w.is_integral:
+        if any(c not in (0, 1, 2) for c in coords):
             bad.append(f"{label}: coordinates outside {{0,1,2}}")
     return not bad, _brief(bad)
 

@@ -10,7 +10,7 @@ the flipped pair is not itself in the image of the dual embedding.
 
 Each public call here (``achar_dual``, ``min_special_cover``,
 ``is_special_pair``, ``wavefronts`` and ``refined_duality_failures``)
-reads the pair's table, built on first use and kept with the pair: |B|
+reads the pair's table, shared with its flip and filled on first use: |B|
 Sommers lookups per poset per pair for |B| bar classes, so 21 on the
 self-dual F4, each special flag decided and each minimal special cover
 searched once, reading the order from lower sets with one label check.
@@ -35,23 +35,19 @@ def normalize_class(class_label: str) -> str:
 
 
 class DualPair(Record):
-    """An oriented pair of mutually dual orbit posets.  Its store, which
-    ``flip()`` hands on, keeps a table per orientation and a tabulation per poset."""
+    """An oriented pair of mutually dual orbit posets.  Its one refined-duality
+    table, which ``flip()`` hands on, serves both orientations."""
 
     g: NilpotentPoset
     gd: NilpotentPoset
 
     def __post_init__(self):
-        object.__setattr__(self, "_tables", ({}, {}))  # (tables, sides)
+        object.__setattr__(self, "_table", _DualityTable())
 
     def flip(self) -> "DualPair":
-        flipped = DualPair(self.gd, self.g)
-        object.__setattr__(flipped, "_tables", self._tables)
+        flipped = object.__new__(DualPair)  # no __post_init__: no table to replace
+        vars(flipped).update(g=self.gd, gd=self.g, _table=self._table)
         return flipped
-
-    def _table(self) -> "_DualityTable":
-        key, (tables, sides) = (self.g, self.gd), self._tables
-        return tables.get(key) or tables.setdefault(key, _DualityTable(*key, sides))
 
     def check(self, bc: BarClass) -> BarClass:
         try:
@@ -102,27 +98,28 @@ def _flip_pair(p: OrbitPair) -> OrbitPair:
 def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
     """Whether the flipped embedded pair lies in the dual embedding image."""
     target = _flip_pair(embed(pair, bc))
-    return pair._table().unembed(pair.gd, target) is not None
+    return pair._table.unembed(pair.gd, target) is not None
 
 
 class _DualityTable:
-    """Refined duality on the posets ``g`` and ``gd``, kept by their
-    ``DualPair``; it holds no pair, so no cycle keeps it alive, and
-    ``pair_leq`` reads it as one.
+    """Refined duality on both orientations of the ``DualPair`` that keeps
+    it; it holds no pair, so no cycle keeps it alive.
 
-    A poset's tabulation, every bar class's embedded pair in
-    ``all_bar_classes`` order and each pair's preimages, is in ``sides``,
-    keyed by poset and shared by both orientations: one per poset.  A bar
-    class's special flag and its minimal special cover are keyed by the
-    bar class, each stored once computed, so a call that raises changes
-    no later answer.  Bar classes must already have passed ``pair.check``.
+    One dict per fact.  A poset's tabulation, every bar class's embedded
+    pair in ``all_bar_classes`` order and each pair's preimages, is keyed
+    by the poset: one per poset.  A bar class's special flag and its
+    minimal special cover are keyed by its poset and the bar class, since
+    within a pair the poset fixes its partner; each is stored once
+    computed, so a call that raises changes no later answer.  Bar classes
+    must already have passed ``pair.check``.
     """
 
-    def __init__(self, g: NilpotentPoset, gd: NilpotentPoset, sides: dict):
-        self.g, self.gd = g, gd
-        self._sides = sides  # poset -> (pairs, hits), shared by both orientations
-        self._special = {}  # bar class -> whether its flip unembeds
-        self._covers = {}  # bar class -> cover
+    __slots__ = ("_sides", "_special", "_covers")
+
+    def __init__(self):
+        self._sides = {}  # poset -> (pairs, hits)
+        self._special = {}  # (poset, bar class) -> whether its flip unembeds
+        self._covers = {}  # (poset, bar class) -> cover
 
     def pairs(self, poset: NilpotentPoset, walked=None) -> dict[BarClass, OrbitPair]:
         """``poset``'s embedded pairs: |B| Sommers lookups on first use, or
@@ -147,63 +144,64 @@ class _DualityTable:
             )
         return hits[0] if hits else None
 
-    def cover(self, bc: BarClass) -> BarClass:
-        """The unique smallest special bar class above bc.
+    def cover(self, pair: DualPair, bc: BarClass) -> BarClass:
+        """The unique smallest special bar class of ``pair.g`` above bc.
 
         Walks the bar classes in order, deciding each special flag once per
         table, and reads the order from lower sets.  Of the labels read, only
         bc's Sommers value may name no dual orbit: the first ``pair_leq``, at
         the first special class above bc's orbit, checks it.
         """
-        special = self._special
-        if bc not in self._covers:
-            pairs = self.pairs(self.g)
+        g = pair.g
+        special, key = self._special, (g, bc)
+        if key not in self._covers:
+            pairs = self.pairs(g)
             here, leq, above = pairs[bc], pair_leq, []
             for other, p in pairs.items():
-                if other not in special:
-                    special[other] = self.unembed(self.gd, _flip_pair(p)) is not None
-                if special[other] and here[0] in self.g._below[p[0]]:
-                    if leq(self, here, p):
+                flag = (g, other)
+                if flag not in special:
+                    special[flag] = self.unembed(pair.gd, _flip_pair(p)) is not None
+                if special[flag] and here[0] in g._below[p[0]]:
+                    if leq(pair, here, p):
                         above.append(other)
                     leq = _read_leq  # bc's Sommers value is checked by now
-            self._covers[bc] = _least_one(
-                above, lambda x, y: _read_leq(self, pairs[x], pairs[y]),
-                lambda count: f"bar class {bc} of {self.g.group_id} has "
+            self._covers[key] = _least_one(
+                above, lambda x, y: _read_leq(pair, pairs[x], pairs[y]),
+                lambda count: f"bar class {bc} of {g.group_id} has "
                               f"{count} minimal special covers",
             )
-        return self._covers[bc]
+        return self._covers[key]
 
-    def dual(self, bc: BarClass) -> BarClass:
+    def dual(self, pair: DualPair, bc: BarClass) -> BarClass:
         """D(bc): embed the cover, flip, unembed on the dual side."""
-        cover = self.pairs(self.g)[self.cover(bc)]
-        return self.unembed(self.gd, _flip_pair(cover))
+        cover = self.pairs(pair.g)[self.cover(pair, bc)]
+        return self.unembed(pair.gd, _flip_pair(cover))
 
 
 def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:
     """The unique smallest special bar class above bc in the embedded order."""
     bc = pair.check(bc)
-    return pair._table().cover(bc)
+    return pair._table.cover(pair, bc)
 
 
 def achar_dual(pair: DualPair, bc: BarClass) -> BarClass:
     """Refined duality: embed the minimal special cover, flip, unembed."""
     bc = pair.check(bc)
-    return pair._table().dual(bc)
+    return pair._table.dual(pair, bc)
 
 
 def wavefronts(pair: DualPair, orbits):
     """Yield ``(orbit, (D(orbit, 1), its embedded pair))`` for each
     dual-side orbit in turn, D taken on ``pair.flip()`` and the pair in
-    ``pair.g``, all from the flip's table; ``dict()`` of it is the map.
+    ``pair.g``, all from the pair's table; ``dict()`` of it is the map.
 
     Each label is checked just before its own lookups, and the orbits are
     read and answered one at a time, so a caller that tests each answer as
     it comes sees errors in the order it asks.
     """
-    dual = pair.flip()
-    table = dual._table()
+    dual, table = pair.flip(), pair._table
     for orbit in orbits:
-        bc = table.dual(dual.check((orbit, "1")))
+        bc = table.dual(dual, dual.check((orbit, "1")))
         yield orbit, (bc, table.pairs(pair.g)[bc])
 
 
@@ -228,9 +226,9 @@ def refined_duality_failures(pair: DualPair) -> str | None:
         if p in seen:
             return f"embedding collision: {seen[p]} and {bc} both map to {p}"
         seen[p] = bc
-    table = pair._table()
+    table = pair._table
     embedded = table.pairs(pair.g, {bc: p for p, bc in seen.items()})
-    refined = {bc: table.dual(bc) for bc in embedded}
+    refined = {bc: table.dual(pair, bc) for bc in embedded}
     for bc, once in refined.items():
         if embedded[bc][1] != once[0]:
             return f"pr1 of the refined dual differs from the Sommers image at {bc}"

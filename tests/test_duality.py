@@ -194,8 +194,8 @@ def test_self_dual_pair_is_tabulated_once(fresh_f4_pair, sommers_calls):
 
 
 def test_distinct_dual_posets_are_tabulated_once(f4_bundle, sommers_calls):
-    # the pair's store tabulates each poset once, on first use, and both
-    # orientations' tables read that one tabulation
+    # the pair's one table tabulates each poset once, on first use, for
+    # both orientations
     pair = data.dual_pair(f4_bundle, f4_bundle)
     assert pair.g is not pair.gd
     for side, reads in ((pair, 42), (pair.flip(), 42)):
@@ -231,17 +231,24 @@ def test_malformed_bar_class_raises_unknown_label(f4_pair):
 def test_duality_tables_leave_no_reference_cycle(f4_bundle):
     # nothing that pairing, validating or a round of the session's queries
     # builds waits for the cyclic garbage collector: posets hold no partner
-    # and tables no pair, so dropping a pair frees its tables
+    # and the table no pair, so dropping a pair and its flip frees the table.
+    # The self-dual pair, a separate pair and that pair's flip
     gc.collect()
     gc.disable()
     try:
         assert data.validate_bundle(f4_bundle).passed
-        pair = data.dual_pair(f4_bundle)
-        for kind in F4_KINDS:
-            _f4_query(pair, f4_bundle, kind, _f4_arguments(f4_bundle, kind)[-1])
-        assert all(pair._tables)  # orientation tables and poset tabulations
-        del pair
-        assert gc.collect() == 0
+        for make in (lambda: data.dual_pair(f4_bundle),
+                     lambda: data.dual_pair(f4_bundle, f4_bundle),
+                     lambda: data.dual_pair(f4_bundle, f4_bundle).flip()):
+            pair = make()
+            for kind in F4_KINDS:
+                _f4_query(pair, f4_bundle, kind, _f4_arguments(f4_bundle, kind)[-1])
+            table = pair._table
+            assert pair.flip()._table is table
+            assert set(table._sides) == {pair.g, pair.gd}  # one tabulation per poset
+            assert table._special and table._covers
+            del pair, table
+            assert gc.collect() == 0
     finally:
         gc.enable()
 

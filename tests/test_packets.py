@@ -8,7 +8,7 @@ import pytest
 from orbitduality import data, packets
 from orbitduality.duality import DualPair, achar_dual, embed, pair_leq
 from orbitduality.errors import InconsistentDataError, UnknownLabelError
-from orbitduality.orbits import BundlePoset, classical_poset, d_table
+from orbitduality.orbits import BundlePoset, NilpotentPoset, classical_poset, d_table
 from orbitduality.packets import (
     JiangReport,
     Parameter,
@@ -24,7 +24,7 @@ from orbitduality.packets import (
     natural_key,
     weak_packet,
 )
-from orbitduality.rootdata import Coweight, coweight_orbit, dominant_rep
+from orbitduality.rootdata import Coweight, coweight_orbit, dominant_rep, root_system
 from test_data import _reference_identities
 
 ARTHUR = ["X5", "X13", "X17", "X19", "X20"]
@@ -220,6 +220,18 @@ def test_infl_sum_needs_weighted_dynkin_data(f4_doc):
     e6 = data.bundle_poset(data.parse_bundle(json.dumps(f4_doc)))
     with pytest.raises(UnknownLabelError, match="carries no root system data"):
         check_infl_sum(e6, Coweight.of([0] * 4), Coweight.of([0] * 4), "F4(a3)")
+
+
+def test_infl_sum_witness_rejects_a_coweight_of_the_wrong_dimension():
+    # the first coweight enters dot products with rank-long rows, which a
+    # short tuple would silently truncate
+    poset = NilpotentPoset(
+        "F4-toy", {"0": ("0",), "r": ("0", "r")}, {}, {},
+        dynkin={"0": Coweight.of([0, 0, 1]), "r": Coweight.of([2, 2, 2, 2])},
+        rs=root_system("F4"),
+    )
+    with pytest.raises(ValueError, match="^coweight dimension mismatch$"):
+        infl_sum_witness(poset, "0", "r", "r")
 
 
 def _toy_pair():
