@@ -11,7 +11,6 @@ on a separate dual bundle, which a bundle that is not self-dual requires.
 from __future__ import annotations
 
 import json
-import re
 from functools import wraps
 from itertools import zip_longest
 
@@ -77,8 +76,18 @@ class ParameterSet(Record):
 
 def natural_key(param_id: str):
     """Sort X2 before X13: split runs of digits into integers."""
-    return [(1, int(run)) if run.isdecimal() else (0, run)
-            for run in re.findall(r"\d+|\D", param_id)]
+    key, num = [], ""
+    for ch in param_id:
+        if ch.isdecimal():
+            num += ch
+        else:
+            if num:
+                key.append((1, int(num)))
+                num = ""
+            key.append((0, ch))
+    if num:
+        key.append((1, int(num)))
+    return key
 
 
 class GroupBundle(Record):

@@ -1,11 +1,10 @@
 """Nilpotent-orbit posets and the order-reversing duality between a poset
 and its dual-group partner.
 
-There is one table-backed poset, ``NilpotentPoset``: the closure order,
-bar classes and Sommers table (whose trivial-class entries are the duality
-map ``d``) are filled once by the constructor, ``ClassicalPoset``'s from
-partitions and ``BundlePoset``'s from a data bundle, and only read back
-after.  Its one ``is_special`` reads the dual's ``d`` from ``dual_d``.
+There is one table-backed poset, ``NilpotentPoset``, whose constructor fills
+the closure order, bar classes and Sommers table (its trivial-class entries
+are the duality map ``d``).  Its one ``is_special`` reads the dual's ``d``
+from ``dual_d``, and its specials are worked out once per ``dual_d``.
 """
 
 from __future__ import annotations
@@ -24,17 +23,18 @@ def partition_label(p: pt.Partition, decoration: str = "") -> str:
 class NilpotentPoset:
     """One orbit poset, read from tables its constructor fills once.
 
-    ``below`` maps each label, in label order, to its lower set in the
-    closure order: the labels at or below it, so the order is reflexive
-    and transitive.  ``bar_a`` maps an orbit to its bar classes
-    (the trivial class ``"1"`` alone when absent); ``ds`` is the Sommers
-    table, mapping (orbit label, class label) to a dual-group orbit label,
-    and the duality map ``d`` is its trivial-class entry.  ``is_special``
-    reads the dual's ``d`` from ``dual_d`` (None: MissingTableError) and
-    compares labels through ``_image_key``, which ``ClassicalPoset`` coarsens.
+    ``below`` maps each label, in label order, to its lower set in the closure
+    order: the labels at or below it, so the order is reflexive and transitive.
+    ``bar_a`` maps an orbit to its bar classes (the trivial class ``"1"`` alone
+    when absent); ``ds`` is the Sommers table, mapping (orbit label, class
+    label) to a dual-group orbit label, and ``d`` is its trivial-class entry.
+    ``is_special`` reads the dual's ``d`` from ``dual_d`` (None:
+    MissingTableError) and compares labels through ``_image_key``, which
+    ``ClassicalPoset`` coarsens; ``specials`` keeps its answer per ``dual_d``.
     """
 
     dual_d: NilpotentPoset | None = None
+    _specials: tuple = (None, None)  # (the dual_d read, its specials)
 
     def __init__(self, group_id, below, bar_a, ds,
                  dims=None, dynkin=None, rs: RootSystem | None = None):
@@ -123,7 +123,10 @@ class NilpotentPoset:
         return self.same_image(dual.d(self.d(label)), label)
 
     def specials(self) -> tuple[str, ...]:
-        return tuple(a for a in self.labels if self.is_special(a))
+        if self._specials[0] is not self.dual_d or self._specials[1] is None:
+            self._specials = self.dual_d, tuple(
+                a for a in self.labels if self.is_special(a))
+        return self._specials[1]
 
     def special_closure(self, label: str) -> str:
         """The unique minimal special orbit above label."""
@@ -137,9 +140,7 @@ class NilpotentPoset:
     def special_piece(self, label: str) -> tuple[str, ...]:
         """All orbits sharing this orbit's special closure, in label order."""
         top = self.special_closure(label)
-        return tuple(
-            b for b in self.labels if self.special_closure(b) == top
-        )
+        return tuple(b for b in self.labels if self.special_closure(b) == top)
 
 
 def _least_one(items, leq, error):

@@ -14,10 +14,11 @@ settings.load_profile("orbitduality")
 
 
 # classical (family, rank) pairs, type D from rank 2: the poset laws are
-# cheap to rank 10; special pieces, cubic in the orbit count, stay at rank 6,
-# and at rank 4 with the acceptance suite's brute force
+# cheap to rank 10; special pieces, quadratic in the orbit count once each
+# poset keeps its specials, stay at rank 7, and at rank 4 with the acceptance
+# suite's brute force
 LAW_RANKS = [(f, r) for f in "ABCD" for r in range(1 + (f == "D"), 11)]
-PIECE_RANKS = [(f, r) for f, r in LAW_RANKS if r <= 6]
+PIECE_RANKS = [(f, r) for f, r in LAW_RANKS if r <= 7]
 ACCEPTANCE_RANKS = [(f, r) for f, r in LAW_RANKS if r <= 4]
 
 
@@ -74,6 +75,20 @@ def label_checks(monkeypatch):
         return real(self, label)
 
     monkeypatch.setattr(NilpotentPoset, "check_label", counted)
+    return calls
+
+
+@pytest.fixture()
+def is_special_calls(monkeypatch):
+    """The labels ``NilpotentPoset.is_special`` is asked about."""
+    calls = []
+    real = NilpotentPoset.is_special
+
+    def counted(self, label):
+        calls.append(label)
+        return real(self, label)
+
+    monkeypatch.setattr(NilpotentPoset, "is_special", counted)
     return calls
 
 

@@ -327,3 +327,54 @@ def test_non_unique_special_closure_raises():
     assert not poset.is_special("0")
     with pytest.raises(NonUniqueCoverError):
         poset.special_closure("0")
+
+
+def test_f4_specials_are_worked_out_once(fresh_f4_pair, is_special_calls):
+    # the first pass over every piece asks each label once; the second
+    # reads the kept specials
+    g = fresh_f4_pair.g
+    for calls in (16, 0):
+        for a in g.labels:
+            special_piece_of(g, a)
+        assert len(is_special_calls) == calls
+        is_special_calls.clear()
+
+
+def test_all_c6_pieces_ask_each_label_once(is_special_calls):
+    # a fresh poset, since classical_poset's may already keep its specials
+    c6 = ClassicalPoset("C", 6)
+    for a in c6.labels:
+        special_piece_of(c6, a)
+    assert len(is_special_calls) == len(c6.labels) == 40
+
+
+def test_rebinding_dual_d_works_the_specials_out_again():
+    poset = BundlePoset(
+        group_id="toy", labels=("0", "a", "r"), covers=(("0", "a"), ("a", "r")),
+        bar_a={}, ds={("0", "1"): "r", ("a", "1"): "a", ("r", "1"): "0"},
+    )
+    poset.dual_d = d_table(poset)
+    assert poset.specials() == ("0", "a", "r")
+    assert poset.special_piece("a") == ("a",)
+    # a dual whose d sends a to r: a is no longer special
+    poset.dual_d = NilpotentPoset(
+        "toy", dict.fromkeys(poset.labels, ()), {},
+        {("0", "1"): "r", ("a", "1"): "r", ("r", "1"): "0"},
+    )
+    assert poset.specials() == ("0", "r")
+    assert poset.special_closure("a") == "r"
+    assert poset.special_piece("a") == ("a", "r")
+
+
+def test_a_specials_call_that_raises_keeps_nothing(f4_doc, is_special_calls):
+    # unpaired, each call raises at the first label again; once paired, the
+    # next call answers from every label
+    f4_doc["dual_group"] = "F4-partner"
+    poset = data.bundle_poset(data.parse_bundle(json.dumps(f4_doc)))
+    for _ in range(2):
+        with pytest.raises(MissingTableError):
+            poset.specials()
+    assert is_special_calls == ["0", "0"]
+    poset.dual_d = d_table(poset)
+    assert len(poset.specials()) == 11
+    assert len(is_special_calls) == 2 + 16

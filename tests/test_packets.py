@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orbitduality import data, packets
 from orbitduality.duality import DualPair, achar_dual, embed, pair_leq
@@ -39,6 +41,21 @@ def test_natural_key_ordering():
 def test_natural_key_orders_suffixed_ids():
     ids = ["X10a", "X2", "X1b", "X1a"]
     assert sorted(ids, key=natural_key) == ["X1a", "X1b", "X2", "X10a"]
+
+
+def _reference_natural_key(param_id):
+    key = []
+    for digits, run in itertools.groupby(param_id, str.isdecimal):
+        run = "".join(run)
+        key += [(1, int(run))] if digits else [(0, ch) for ch in run]
+    return key
+
+
+# ASCII and other decimal digits (Arabic-Indic, Devanagari, fullwidth,
+# mathematical), a superscript that is a digit but not decimal, whitespace
+@given(st.text(st.sampled_from("X09a+~()²\t\n ٣७７𝟘") | st.characters()))
+def test_natural_key_matches_a_reference(param_id):
+    assert natural_key(param_id) == _reference_natural_key(param_id)
 
 
 def test_tempered_examples(f4_params):
