@@ -27,15 +27,16 @@ _EXPORTS = {
         "MissingTableError", "NonUniqueCoverError", "OrbitDualityError",
         "SchemaError", "UnknownLabelError",
     ),
-    "orbits": (
-        "BundlePoset", "ClassicalPoset", "bvls_dual", "classical_poset",
-        "closure_leq", "is_special", "special_closure", "special_piece_of",
-    ),
+    "orbits": ("ClassicalPoset", "classical_poset"),
     "packets": (
         "arthur_packet", "az_dual", "check_infl_sum", "check_jiang", "cuwf",
         "geometric_wf", "is_tempered", "weak_packet",
     ),
     "partitions": (),
+    "poset": (
+        "BundlePoset", "bvls_dual", "closure_leq", "is_special",
+        "special_closure", "special_piece_of",
+    ),
     "rootdata": ("Coweight", "dominant_rep", "root_system", "weyl_conjugate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,22 +1,24 @@
 """Command-line front end over bundle files.
 
 ``COMMANDS`` names each subcommand once, with its help text, positionals
-and handler.  ``build_parser`` declares them from it; ``run`` loads the
+and handler.  ``build_parser`` declares them from it, and ``parse_argv``
+reads well-formed argv from it without argparse; ``run`` loads the
 bundles, pairs and validates them once, folds each label (every positional
 but ``param_id``) through ``normalize_label``, runs the handler and prints.
 
 Exit codes: 0 success, 1 domain errors (unknown labels, missing entries),
 2 I/O, schema, or validation failures; only ``verify`` runs on a bundle
-that fails validation.  Every call compiles what it imports, so
-``packets`` is imported only in the handlers that run a packet query.
+that fails validation.  Every call compiles what it imports, so argparse
+loads only for argv ``parse_argv`` refuses (it alone writes help, usage
+and errors), and ``packets`` only in the handlers that run a packet query.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import unicodedata
+from types import SimpleNamespace
 
 from . import data
 from .duality import achar_dual
@@ -175,7 +177,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="orbitduality",
         description="Nilpotent-orbit duality, wavefront invariants, and packets.",
@@ -195,8 +199,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_OPTIONS = {"--bundle": "bundle", "--dual-bundle": "dual_bundle", "--format": "fmt"}
+
+
+def parse_argv(argv):
+    """What ``build_parser().parse_args(argv)`` returns, for argv of the form
+    ``(--bundle V | --dual-bundle V | --format text|json)* SUB POS...`` with
+    ``--bundle`` given and no option abbreviated; None for any other argv,
+    and for any value or positional that starts with ``-``."""
+    args = {"bundle": None, "dual_bundle": None, "fmt": "text"}
+    rest = list(argv)
+    while rest[:1] and rest[0] in _OPTIONS:
+        if len(rest) < 2 or rest[1][:1] == "-" or (
+                rest[0] == "--format" and rest[1] not in ("text", "json")):
+            return None
+        name, value, *rest = rest
+        args[_OPTIONS[name]] = value
+    if args["bundle"] is None or not rest or rest[0] not in COMMANDS:
+        return None
+    command, *values = rest
+    names = COMMANDS[command][1]
+    if len(values) != len(names) or any(v[:1] == "-" for v in values):
+        return None
+    return SimpleNamespace(**args, command=command, **dict(zip(names, values)))
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_argv(argv) or build_parser().parse_args(argv)
     _, positionals, handler = COMMANDS[args.command]
 
     try:

@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     UnknownLabelError,
 )
-from .orbits import BundlePoset, d_table, duality_failures, order_failures
+from .poset import BundlePoset, d_table, duality_failures, order_failures
 from .rootdata import Coweight, positive_roots, root_pairing, root_system
 
 FORMAT_VERSION = 1

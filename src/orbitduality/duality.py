@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import GroupMismatchError, InconsistentDataError, UnknownLabelError
-from .orbits import NilpotentPoset, _least_one
+from .poset import NilpotentPoset, _least_one
 
 BarClass = tuple[str, str]  # (orbit label, class label)
 OrbitPair = tuple[str, str]  # (orbit in G, orbit in the dual group)

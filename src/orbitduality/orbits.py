@@ -1,10 +1,7 @@
-"""Nilpotent-orbit posets and the order-reversing duality between a poset
-and its dual-group partner.
-
-There is one table-backed poset, ``NilpotentPoset``, whose constructor fills
-the closure order, bar classes and Sommers table (its trivial-class entries
-are the duality map ``d``).  Its one ``is_special`` reads the dual's ``d``
-from ``dual_d``, and its specials are worked out once per ``dual_d``.
+"""Classical orbit posets: ``ClassicalPoset`` fills ``NilpotentPoset``'s
+tables from partitions.  Importing this module compiles the classical code
+and ``partitions`` at once (a sweep worker imports it before it times a
+build), and it re-exports the bundle-path posets and laws from ``poset``.
 """
 
 from __future__ import annotations
@@ -13,175 +10,17 @@ from functools import lru_cache
 
 from . import partitions as pt
 from .errors import MissingTableError, NonUniqueCoverError, UnknownLabelError
+from .poset import (  # noqa: F401  re-exported
+    BundlePoset, NilpotentPoset, _least_one, bvls_dual, closure_leq, d_table,
+    duality_failures, is_special, order_failures, special_closure,
+    special_piece_of, transitive_closure,
+)
 from .rootdata import Coweight, RootSystem, root_system
 
 
 def partition_label(p: pt.Partition, decoration: str = "") -> str:
     return "(" + ",".join(str(x) for x in p) + ")" + decoration
 
-
-class NilpotentPoset:
-    """One orbit poset, read from tables its constructor fills once.
-
-    ``below`` maps each label, in label order, to its lower set in the closure
-    order: the labels at or below it, so the order is reflexive and transitive.
-    ``bar_a`` maps an orbit to its bar classes (the trivial class ``"1"`` alone
-    when absent); ``ds`` is the Sommers table, mapping (orbit label, class
-    label) to a dual-group orbit label, and ``d`` is its trivial-class entry.
-    ``is_special`` reads the dual's ``d`` from ``dual_d`` (None:
-    MissingTableError) and compares labels through ``_image_key``, which
-    ``ClassicalPoset`` coarsens; ``specials`` keeps its answer per ``dual_d``.
-    """
-
-    dual_d: NilpotentPoset | None = None
-    _specials: tuple = (None, None)  # (the dual_d read, its specials)
-
-    def __init__(self, group_id, below, bar_a, ds,
-                 dims=None, dynkin=None, rs: RootSystem | None = None):
-        self.group_id = group_id
-        self._below = dict(below)
-        self.labels = tuple(self._below)
-        self._bar = {o: tuple(cs) for o, cs in bar_a.items()}
-        self._ds = dict(ds)
-        self._dims = dict(dims or {})
-        self._dynkin = dict(dynkin or {})
-        self._rs = rs
-
-    # -- table lookups -----------------------------------------------------
-
-    def leq(self, a: str, b: str) -> bool:
-        self.check_label(a)
-        self.check_label(b)
-        return a in self._below[b]
-
-    def d(self, label: str) -> str:
-        """The trivial-class entry of the Sommers table, read past any
-        subclass's ``sommers``."""
-        return NilpotentPoset.sommers(self, label, "1")
-
-    def bar_classes(self, label: str) -> tuple[str, ...]:
-        self.check_label(label)
-        return self._bar.get(label, ("1",))
-
-    def sommers(self, label: str, class_label: str) -> str:
-        self.check_label(label)
-        try:
-            return self._ds[(label, class_label)]
-        except KeyError:
-            raise MissingTableError(
-                f"no duality entry for ({label}, {class_label}) in {self.group_id}"
-            ) from None
-        except TypeError:  # unhashable, so not a class
-            raise UnknownLabelError(
-                f"unknown class {class_label!r} on orbit {label} of {self.group_id}"
-            ) from None
-
-    def dim(self, label: str) -> int | None:
-        self.check_label(label)
-        return self._dims.get(label)
-
-    def weighted_dynkin(self, label: str) -> Coweight | None:
-        self.check_label(label)
-        return self._dynkin.get(label)
-
-    def root_system(self) -> RootSystem | None:
-        return self._rs
-
-    # -- shared behaviour --------------------------------------------------
-
-    def check_label(self, label: str) -> None:
-        try:
-            known = label in self._below
-        except TypeError:  # unhashable, so not a label
-            known = False
-        if not known:
-            raise UnknownLabelError(
-                f"unknown orbit {label!r} in group {self.group_id}"
-            )
-
-    def _image_key(self, label: str) -> str:
-        return label
-
-    def same_image(self, a: str, b: str) -> bool:
-        return a == b or self._image_key(a) == self._image_key(b)
-
-    def zero(self) -> str:
-        return _least_one(self.labels, self.leq, self._no_extreme)
-
-    def regular(self) -> str:
-        return _least_one(self.labels, lambda a, b: self.leq(b, a), self._no_extreme)
-
-    def _no_extreme(self, count: int) -> str:
-        return f"group {self.group_id} has no unique extreme orbit"
-
-    def is_special(self, label: str) -> bool:
-        dual = self.dual_d
-        if dual is None:
-            raise MissingTableError(
-                f"group {self.group_id} has no dual-group data attached"
-            )
-        return self.same_image(dual.d(self.d(label)), label)
-
-    def specials(self) -> tuple[str, ...]:
-        if self._specials[0] is not self.dual_d or self._specials[1] is None:
-            self._specials = self.dual_d, tuple(
-                a for a in self.labels if self.is_special(a))
-        return self._specials[1]
-
-    def special_closure(self, label: str) -> str:
-        """The unique minimal special orbit above label."""
-        self.check_label(label)
-        return _least_one(
-            [s for s in self.specials() if self.leq(label, s)], self.leq,
-            lambda count: f"orbit {label} in {self.group_id} has no unique "
-                          f"minimal special orbit above it",
-        )
-
-    def special_piece(self, label: str) -> tuple[str, ...]:
-        """All orbits sharing this orbit's special closure, in label order."""
-        top = self.special_closure(label)
-        return tuple(b for b in self.labels if self.special_closure(b) == top)
-
-
-def _least_one(items, leq, error):
-    """The one element of items below every element of items.  Unless
-    there is exactly one, raise NonUniqueCoverError(error(count))."""
-    least = [a for a in items if all(leq(a, b) for b in items)]
-    if len(least) != 1:
-        raise NonUniqueCoverError(error(len(least)))
-    return least[0]
-
-
-# -- poset laws --------------------------------------------------------------
-
-def order_failures(poset: NilpotentPoset) -> list[tuple[str, str]]:
-    """The pairs a < b (as strings) that break antisymmetry."""
-    return [(a, b) for a in poset.labels for b in poset.labels
-            if a < b and a in poset._below[b] and b in poset._below[a]]
-
-
-def duality_failures(poset: NilpotentPoset, dual: NilpotentPoset):
-    """The first law of ``d`` that fails, as (what fails, where), or None.
-
-    In order: d^3 = d, exactly; d reverses the closure order; the special
-    orbits are the image of the dual's ``d``, up to ``poset._image_key``.
-    """
-    bad = [a for a in poset.labels if poset.d(dual.d(poset.d(a))) != poset.d(a)]
-    if bad:
-        return "d^3 != d", bad
-    bad = [f"{a} <= {b}" for a in poset.labels for b in poset.labels
-           if a in poset._below[b] and not dual.leq(poset.d(b), poset.d(a))]
-    if bad:
-        return "order reversal fails", bad
-    image = {poset._image_key(dual.d(b)) for b in dual.labels}
-    bad = [a for a in poset.labels if poset.same_image(dual.d(poset.d(a)), a)
-           != (poset._image_key(a) in image)]
-    if bad:
-        return "specials differ from the image of d", bad
-    return None
-
-
-# -- classical posets -------------------------------------------------------
 
 _DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "D": "D"}
 
@@ -283,60 +122,3 @@ class ClassicalPoset(NilpotentPoset):
 @lru_cache(maxsize=None)
 def classical_poset(family: str, rank: int) -> ClassicalPoset:
     return ClassicalPoset(family, rank)
-
-
-# -- bundle-backed posets ----------------------------------------------------
-
-def transitive_closure(labels, covers) -> dict[str, set[str]]:
-    """Reflexive-transitive closure of covering pairs: each label's lower
-    set, in label order."""
-    below = {a: {a} for a in labels}
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in covers:
-            new = below[lo] - below[hi]
-            if new:
-                below[hi] |= new
-                changed = True
-    return below
-
-
-class BundlePoset(NilpotentPoset):
-    """Orbit poset loaded from a data bundle: its tables filled from the
-    bundle's covering pairs, bar classes and Sommers table.  It holds no
-    partner: ``data.dual_pair`` sets ``dual_d`` to the dual's ``d_table``.
-    """
-
-    def __init__(self, group_id, labels, covers, bar_a, ds,
-                 dims=None, dynkin=None, rs: RootSystem | None = None):
-        super().__init__(group_id, transitive_closure(labels, covers),
-                         bar_a, ds, dims, dynkin, rs)
-
-
-def d_table(poset: NilpotentPoset) -> NilpotentPoset:
-    """What ``is_special`` reads of a dual poset: group id, labels, ``d``."""
-    return NilpotentPoset(poset.group_id, dict.fromkeys(poset.labels, ()), {},
-                          {k: t for k, t in poset._ds.items() if k[1] == "1"})
-
-
-# -- functional wrappers used by callers that hold a poset handle ------------
-
-def closure_leq(poset: NilpotentPoset, a: str, b: str) -> bool:
-    return poset.leq(a, b)
-
-
-def bvls_dual(poset: NilpotentPoset, label: str) -> str:
-    return poset.d(label)
-
-
-def is_special(poset: NilpotentPoset, label: str) -> bool:
-    return poset.is_special(label)
-
-
-def special_closure(poset: NilpotentPoset, label: str) -> str:
-    return poset.special_closure(label)
-
-
-def special_piece_of(poset: NilpotentPoset, label: str) -> tuple[str, ...]:
-    return poset.special_piece(label)

@@ -27,7 +27,7 @@ from ._record import Record
 from .data import Parameter, ParameterSet, natural_key
 from .duality import BarClass, DualPair, achar_dual, pair_leq, wavefronts
 from .errors import InconsistentDataError, UnknownLabelError
-from .orbits import NilpotentPoset
+from .poset import NilpotentPoset
 from .rootdata import (
     Coweight,
     coweight_orbit,

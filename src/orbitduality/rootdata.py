@@ -98,10 +98,6 @@ class Coweight(Record, order=True):
         """Coweight with integer fundamental-coweight coordinates."""
         return cls(tuple(2 * int(c) for c in coords))
 
-    @property
-    def is_integral(self) -> bool:
-        return all(c % 2 == 0 for c in self.twice)
-
     def __add__(self, other: "Coweight") -> "Coweight":
         if len(self.twice) != len(other.twice):
             raise ValueError("coweight dimension mismatch")

@@ -97,7 +97,23 @@ def test_dual_compiles_a_pinned_number_of_source_lines(bundle_path):
         "print(sum(len(open(m.__file__, encoding='utf-8').readlines())\n"
         "          for n, m in sys.modules.items() if n.split('.')[0] == 'orbitduality'))"
     )
-    assert int(lines) == 2037
+    assert int(lines) == 1807
+
+
+def test_dual_loads_no_argparse_and_no_classical_code(bundle_path):
+    loaded = modules_after(
+        "import orbitduality.cli as cli\n"
+        f"assert cli.run(['--bundle', {bundle_path!r}, 'dual', '0']) == 0"
+    )
+    assert not {
+        "argparse", "orbitduality.orbits", "orbitduality.partitions"
+    } & loaded
+
+
+def test_orbits_import_compiles_the_classical_code():
+    # a sweep worker imports orbits at set-up, then times classical_poset:
+    # partitions must not first load inside that span
+    assert "orbitduality.partitions" in modules_after("from orbitduality import orbits")
 
 
 @pytest.mark.parametrize(
@@ -678,6 +694,78 @@ def test_other_package_error_in_a_query_exits_2(capsys, bundle_path, monkeypatch
         capsys, "--bundle", bundle_path, "--format", fmt, "weak-packet", "F4(a3)"
     )
     assert (code, out, err) == (2, "", "error: weak packet tables disagree\n")
+
+
+_PARSER = cli.build_parser()
+_LABELS = ["f4.json", "", "0", "A1", "~A1", "F4(a₃)", "1", "text", "dual"]
+_ODD_PARTS = [
+    "--bund", "--dual", "--form", "--bundle=f4.json", "--dual-bundle=f4.json",
+    "--format=json", "-h", "--", "-1", "xml",
+]
+
+
+@st.composite
+def _argv(draw):
+    """Argv of the small parser's shape, ``--bundle`` present or not, with
+    up to two parts dropped, put in anywhere or replaced by options, values
+    and labels either parser may refuse."""
+    options = [("--bundle", draw(st.sampled_from(_LABELS)))] * draw(st.booleans())
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(["--bundle", "--dual-bundle", "--format"]))
+        values = ["text", "json", "xml"] if name == "--format" else _LABELS
+        options.insert(draw(st.integers(0, len(options))),
+                       (name, draw(st.sampled_from(values))))
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    count = len(cli.COMMANDS[command][1])
+    argv = [part for option in options for part in option] + [command] + draw(
+        st.lists(st.sampled_from(_LABELS), min_size=count, max_size=count))
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.integers(0, len(argv) - 1))
+        part = draw(st.sampled_from(_ODD_PARTS)
+                    | st.sampled_from(_LABELS + sorted(cli.COMMANDS)))
+        edit = draw(st.sampled_from(["drop", "insert", "replace"]))
+        argv[where:where + (edit != "insert")] = [] if edit == "drop" else [part]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_small_parser_agrees_with_argparse(argv):
+    small = cli.parse_argv(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            expected = vars(_PARSER.parse_args(argv))
+    except SystemExit:
+        assert small is None
+    else:
+        assert small is None or vars(small) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bundle", "f4.json", "dual", "0"],
+    ["--format", "json", "--bundle", "f4.json", "achar-dual", "A1+~A1", "1"],
+    ["--bundle", "a", "--dual-bundle", "b", "--bundle", "", "verify"],
+    ["--bundle", "f4.json", "packet", "F4(a₃)"],
+])
+def test_small_parser_reads_well_formed_argv(argv):
+    assert vars(cli.parse_argv(argv)) == vars(_PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bundle", "f4.json", "-h", "dual", "0"],
+    ["--bundle=f4.json", "dual", "0"],
+    ["--bund", "f4.json", "dual", "0"],
+    ["--bundle", "f4.json", "dual", "--", "0"],
+    ["--bundle", "f4.json", "dual", "-1"],
+    ["--bundle", "f4.json", "--format", "xml", "--format", "text", "list"],
+    ["--bundle", "f4.json", "closure", "0"],
+    ["--bundle", "f4.json", "dual", "0", "1"],
+    ["--bundle", "-h", "dual", "0"],
+    ["--bundle", "--format", "json", "list"],
+    ["--format", "json", "dual", "0"],
+])
+def test_small_parser_leaves_other_argv_to_argparse(argv):
+    assert cli.parse_argv(argv) is None
 
 
 def test_unknown_flag_rejected(bundle_path):

@@ -24,7 +24,7 @@ PUBLIC = [
 ]
 SUBMODULES = [
     "cli", "data", "duality", "errors", "orbits", "packets", "partitions",
-    "rootdata",
+    "poset", "rootdata",
 ]
 
 

@@ -268,7 +268,20 @@ def test_only_nilpotent_poset_defines_is_special():
         if isinstance(cls, type) and cls.__module__ == m.__name__
         and "is_special" in vars(cls)
     )
-    assert defining == ["orbitduality.orbits.NilpotentPoset"]
+    assert defining == ["orbitduality.poset.NilpotentPoset"]
+
+
+def test_orbits_reexports_the_bundle_path_core():
+    from orbitduality import orbits, poset
+
+    moved = [n for n, v in vars(poset).items()
+             if getattr(v, "__module__", None) == "orbitduality.poset"]
+    assert sorted(moved) == [
+        "BundlePoset", "NilpotentPoset", "_least_one", "bvls_dual", "closure_leq",
+        "d_table", "duality_failures", "is_special", "order_failures",
+        "special_closure", "special_piece_of", "transitive_closure",
+    ]
+    assert all(getattr(orbits, n) is getattr(poset, n) for n in moved)
 
 
 def test_f4_specials(f4_pair, f4_bundle):
