@@ -177,6 +177,10 @@ COMMANDS = {
 }
 
 
+_FORMATS = ("text", "json")
+_OPTIONS = {"--bundle": "bundle", "--dual-bundle": "dual_bundle", "--format": "fmt"}
+
+
 def build_parser():
     import argparse
 
@@ -189,7 +193,7 @@ def build_parser():
         "--dual-bundle", help="dual-group bundle (defaults to self-dual)"
     )
     parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
+        "--format", choices=_FORMATS, default="text", dest="fmt"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, positionals, _) in COMMANDS.items():
@@ -197,9 +201,6 @@ def build_parser():
         for positional in positionals:
             p.add_argument(positional)
     return parser
-
-
-_OPTIONS = {"--bundle": "bundle", "--dual-bundle": "dual_bundle", "--format": "fmt"}
 
 
 def parse_argv(argv):
@@ -211,7 +212,7 @@ def parse_argv(argv):
     rest = list(argv)
     while rest[:1] and rest[0] in _OPTIONS:
         if len(rest) < 2 or rest[1][:1] == "-" or (
-                rest[0] == "--format" and rest[1] not in ("text", "json")):
+                rest[0] == "--format" and rest[1] not in _FORMATS):
             return None
         name, value, *rest = rest
         args[_OPTIONS[name]] = value

@@ -1,7 +1,6 @@
-"""Classical orbit posets: ``ClassicalPoset`` fills ``NilpotentPoset``'s
-tables from partitions.  Importing this module compiles the classical code
-and ``partitions`` at once (a sweep worker imports it before it times a
-build), and it re-exports the bundle-path posets and laws from ``poset``.
+"""Classical orbit posets, filled from partitions, and every name of
+``poset``.  Importing this module compiles the classical code and
+``partitions`` at once: a sweep worker imports it before it times a build.
 """
 
 from __future__ import annotations
