@@ -82,6 +82,8 @@ def test_orbits_import_leaves_out_bundle_and_packet_layers():
     # a classical worker needs only the orbit layer
     loaded = modules_after("from orbitduality import orbits")
     assert "orbitduality.orbits" in loaded
+    # it then times classical_poset, so partitions must load here, not there
+    assert "orbitduality.partitions" in loaded
     assert not {
         "orbitduality.data", "orbitduality.duality", "orbitduality.packets",
         "orbitduality.cli",
@@ -108,12 +110,6 @@ def test_dual_loads_no_argparse_and_no_classical_code(bundle_path):
     assert not {
         "argparse", "orbitduality.orbits", "orbitduality.partitions"
     } & loaded
-
-
-def test_orbits_import_compiles_the_classical_code():
-    # a sweep worker imports orbits at set-up, then times classical_poset:
-    # partitions must not first load inside that span
-    assert "orbitduality.partitions" in modules_after("from orbitduality import orbits")
 
 
 @pytest.mark.parametrize(
