@@ -231,7 +231,8 @@ def run(argv=None) -> int:
     _, positionals, handler = COMMANDS[args.command]
 
     try:
-        dual_bundle = data.parse_bundle(args.dual_bundle) if args.dual_bundle else None
+        dual = args.dual_bundle
+        dual_bundle = None if dual is None else data.parse_bundle(dual)
         bundle = data.parse_bundle(args.bundle)
         pair, report = data.validated_pair(bundle, dual_bundle)
         if not report.passed and handler is not _verify:

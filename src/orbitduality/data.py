@@ -4,15 +4,15 @@ A bundle is a JSON document carrying one group's orbit poset (as covering
 pairs), canonical-quotient class lists, the Sommers duality table, optional
 weighted Dynkin and dimension data, and optional parameter sets.  Loading
 is strict: structural problems raise SchemaError, semantic problems raise
-BundleValidationError naming the violated invariant.  Every check also runs
-on a separate dual bundle, which a bundle that is not self-dual requires.
+BundleValidationError naming the violated invariant.  The checks run on the
+bundle and on any separate dual bundle in two phases: the laws of d and D
+wait for closure_order and ds_table to pass on every side.
 """
 
 from __future__ import annotations
 
 import json
 from functools import wraps
-from itertools import zip_longest
 
 from ._record import Record
 from .duality import DualPair, normalize_class, refined_duality_failures
@@ -26,6 +26,7 @@ from .poset import BundlePoset, d_table, duality_failures, order_failures
 from .rootdata import Coweight, positive_roots, root_pairing, root_system
 
 FORMAT_VERSION = 1
+_BRIEF_ITEMS = 4  # the items a failing check names before "... (n total)"
 
 
 class OrbitRecord(Record):
@@ -185,9 +186,8 @@ def parse_bundle(source) -> GroupBundle:
     try:
         if hasattr(source, "read"):
             text = source.read()
-        elif isinstance(source, bytes):
-            text = source.decode("utf-8")
-        elif isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
+        elif isinstance(source, bytes) or (
+                isinstance(source, str) and source.lstrip()[:1] in ("{", "[")):
             text = source
         else:
             with open(source, "r", encoding="utf-8") as fh:
@@ -406,10 +406,10 @@ def parameter_set(bundle: GroupBundle, ic_orbit: str) -> ParameterSet:
 
 # -- validation ----------------------------------------------------------------
 
-def _brief(items, limit=4) -> str:
+def _brief(items) -> str:
     items = list(items)
-    shown = "; ".join(items[:limit])
-    if len(items) > limit:
+    shown = "; ".join(items[:_BRIEF_ITEMS])
+    if len(items) > _BRIEF_ITEMS:
         shown += f"; ... ({len(items)} total)"
     return shown
 
@@ -496,8 +496,8 @@ def _check_d_duality(poset, dual):
 
 
 @_check
-def _check_special_flags(poset, flags):
-    bad = [a for a in poset.labels if poset.is_special(a) != flags.get(a, False)]
+def _check_special_flags(bundle, poset):
+    bad = [o.label for o in bundle.orbits if poset.is_special(o.label) != o.special]
     if bad:
         return False, "flags disagree with d∘d fixed points at " + _brief(bad)
     return True, ""
@@ -539,9 +539,8 @@ def _check_dynkin_dims(poset):
 @_check
 def _check_az_links(bundle):
     for ps in bundle.parameter_sets:
-        ids = {x.id for x in ps.params}
         for x in ps.params:
-            if x.az_partner not in ids:
+            if x.az_partner not in ps._by_id:
                 return False, f"{x.id} links to missing partner {x.az_partner}"
         for x in ps.params:
             if ps.get(x.az_partner).az_partner != x.id:
@@ -566,26 +565,32 @@ def _check_duality_identities(pair: DualPair):
     return failure is None, failure or "embedding injective, D^3 = D, pr1∘D = d_S"
 
 
-def _side_checks(bundle, pair, ready):
-    """Yield the checks of ``pair.g``, one side's poset, in report order,
-    against ``pair.gd``.  ``ready()``, asked after the first seven, tells
-    whether closure_order and ds_table passed on both sides."""
-    poset, dual = pair.g, pair.gd
-    flags = {o.label: o.special for o in bundle.orbits}
-    yield _check_closure_order(poset, flags)
-    yield _check_bar_classes(poset)
-    yield _check_ds_table(bundle, poset, dual.labels)
-    yield _check_weighted_dynkin(poset)
-    yield _check_dynkin_dims(poset)
-    yield _check_az_links(bundle)
-    yield _check_parameter_orbits(bundle, dual)
-    if not ready():
-        yield CheckResult("d_duality", False, "skipped: prerequisite checks failed")
-        return
-    laws = (_check_d_duality(poset, dual), _check_special_flags(poset, flags))
-    yield from laws
+def _independent_checks(bundle, pair):
+    """Phase 1 on one side: the checks that read no other check's result."""
+    return [
+        _check_closure_order(pair.g, {o.label: o.special for o in bundle.orbits}),
+        _check_bar_classes(pair.g),
+        _check_ds_table(bundle, pair.g, pair.gd.labels),
+        _check_weighted_dynkin(pair.g),
+        _check_dynkin_dims(pair.g),
+        _check_az_links(bundle),
+        _check_parameter_orbits(bundle, pair.gd),
+    ]
+
+
+def _law_checks(bundle, pair):
+    """Phase 2 on one side: the laws of d, then those of D if both hold."""
+    laws = [_check_d_duality(pair.g, pair.gd), _check_special_flags(bundle, pair.g)]
     if all(c.passed for c in laws):
-        yield _check_duality_identities(pair)
+        laws.append(_check_duality_identities(pair))
+    return laws
+
+
+def _merge(own, *dual):
+    """The bundle's checks by name, with the dual side's failures shown."""
+    failed = {c.name: c.details for side in dual for c in side if not c.passed}
+    return {c.name: CheckResult(c.name, False, "dual bundle: " + failed[c.name])
+            if c.passed and c.name in failed else c for c in own}
 
 
 def validate_bundle(
@@ -603,21 +608,15 @@ def validate_bundle(
 def validated_pair(bundle, dual_bundle=None) -> tuple[DualPair, ValidationReport]:
     """``dual_pair`` and ``validate_bundle``'s report on that pair."""
     pair = dual_pair(bundle, dual_bundle)
-    checks = {}
-
-    def ready():  # a failure on either side shows in checks by now
-        return checks["closure_order"].passed and checks["ds_table"].passed
-
-    own_side = _side_checks(bundle, pair, ready)
-    dual_side = () if dual_bundle is None else _side_checks(
-        dual_bundle, pair.flip(), ready)
-    # the sides yield the same names in step, so ready() reads both
-    for own, theirs in zip_longest(own_side, dual_side):
-        if own is None:
-            continue
-        if own.passed and theirs is not None and not theirs.passed:
-            own = CheckResult(own.name, False, "dual bundle: " + theirs.details)
-        checks[own.name] = own
+    sides = [(bundle, pair)]
+    if dual_bundle is not None:
+        sides.append((dual_bundle, pair.flip()))
+    checks = _merge(*(_independent_checks(*side) for side in sides))
+    if checks["closure_order"].passed and checks["ds_table"].passed:
+        checks.update(_merge(*(_law_checks(*side) for side in sides)))
+    else:
+        checks["d_duality"] = CheckResult(
+            "d_duality", False, "skipped: prerequisite checks failed")
     return pair, ValidationReport(tuple(checks.values()))
 
 

@@ -15,15 +15,16 @@ Sommers lookups per poset per pair for |B| bar classes, so 21 on the
 self-dual F4, each special flag decided and each minimal special cover
 searched once, reading the order from lower sets with one label check.
 
-``refined_duality_failures`` checks two laws of D: the embedding is
-injective and pr1∘D = d_S.  D^3 = D and order reversal hold by
-construction, so they are not checked; its docstring says why.
+``refined_duality_failures`` checks two laws of D on the table: the
+embedding is injective and pr1∘D = d_S.  D^3 = D and order reversal hold
+by construction, so they are not checked; its docstring says why.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .errors import GroupMismatchError, InconsistentDataError, UnknownLabelError
+from .errors import (GroupMismatchError, InconsistentDataError,
+                     MissingTableError, UnknownLabelError)
 from .poset import NilpotentPoset, _least_one
 
 BarClass = tuple[str, str]  # (orbit label, class label)
@@ -121,13 +122,11 @@ class _DualityTable:
         self._special = {}  # (poset, bar class) -> whether its flip unembeds
         self._covers = {}  # (poset, bar class) -> cover
 
-    def pairs(self, poset: NilpotentPoset, walked=None) -> dict[BarClass, OrbitPair]:
-        """``poset``'s embedded pairs: |B| Sommers lookups on first use, or
-        none when ``walked`` already holds them."""
+    def pairs(self, poset: NilpotentPoset) -> dict[BarClass, OrbitPair]:
+        """``poset``'s embedded pairs: |B| Sommers lookups on first use."""
         if poset not in self._sides:
-            pairs = walked or {
-                (o, c): (o, poset.sommers(o, c)) for o, c in all_bar_classes(poset)
-            }
+            pairs = {(o, c): (o, poset.sommers(o, c))
+                     for o, c in all_bar_classes(poset)}
             hits: dict[OrbitPair, list[BarClass]] = {}
             for bc, p in pairs.items():
                 hits.setdefault(p, []).append(bc)
@@ -209,9 +208,9 @@ def refined_duality_failures(pair: DualPair) -> str | None:
     """The first law of D that fails on ``pair``, as a report, or None.
 
     Checked, in order: the embedding of ``pair.g`` is injective, and
-    pr1∘D = d_S.  The injectivity walk stays apart from the tabulation,
-    which raises at the first missing entry: it reports a collision ahead
-    of a later missing entry, then is ``pair.g``'s tabulation if none is kept.
+    pr1∘D = d_S.  The injectivity walk reads ``pair.g``'s tabulation; only
+    a missing entry sends it to the Sommers table itself, walked in the
+    same order, so a collision ahead of that entry is reported first.
 
     D^3 = D and order reversal hold by construction once every D is
     defined, because both orders are reflexive and transitive.  A special
@@ -220,14 +219,15 @@ def refined_duality_failures(pair: DualPair) -> str | None:
     the specials above x, so cover(x) <= cover(y), which the flip turns
     into order reversal.
     """
-    seen = {}
-    for bc in all_bar_classes(pair.g):
-        p = (bc[0], pair.g.sommers(*bc))
-        if p in seen:
+    table, seen = pair._table, {}
+    try:
+        walk = table.pairs(pair.g).items()
+    except MissingTableError:
+        walk = ((bc, (bc[0], pair.g.sommers(*bc))) for bc in all_bar_classes(pair.g))
+    for bc, p in walk:
+        if seen.setdefault(p, bc) != bc:
             return f"embedding collision: {seen[p]} and {bc} both map to {p}"
-        seen[p] = bc
-    table = pair._table
-    embedded = table.pairs(pair.g, {bc: p for p, bc in seen.items()})
+    embedded = table.pairs(pair.g)
     refined = {bc: table.dual(pair, bc) for bc in embedded}
     for bc, once in refined.items():
         if embedded[bc][1] != once[0]:

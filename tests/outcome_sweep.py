@@ -40,8 +40,7 @@ categories:
 New categories go after the existing ones, so no case changes its id.
 
 A case's outcome is the ``SchemaError`` text, or else the validation
-report, with ``dual_pair``'s ``SchemaError`` text if that fails after a
-passing report.  For a bundle that passes it also holds ``achar_dual`` on
+report.  For a bundle that passes it also holds ``achar_dual`` on
 every bar class of ``pair.g`` and, at each parameter set's ``ic_orbit``,
 ``arthur_packet``, ``weak_packet`` and ``check_jiang``; each is the answer
 or ``ErrorType: message``.
@@ -243,16 +242,12 @@ def outcome(main: str, dual: str | None) -> dict:
     try:
         bundle = data.parse_bundle(main)
         dual_bundle = None if dual is None else data.parse_bundle(dual)
-        report = data.validate_bundle(bundle, dual_bundle)
+        pair, report = data.validated_pair(bundle, dual_bundle)
     except SchemaError as exc:
         return {"schema_error": str(exc)}
     found = {"report": report.to_text()}
     if not report.passed:
         return found
-    try:
-        pair = data.dual_pair(bundle, dual_bundle)
-    except SchemaError as exc:
-        return {**found, "dual_pair": str(exc)}
     found["achar_dual"] = {
         f"{o}|{c}": _answer(achar_dual, pair, (o, c))
         for o, c in all_bar_classes(pair.g)

@@ -308,6 +308,16 @@ def test_missing_file_exit_code(capsys):
     assert "error" in err
 
 
+# the first argv is read without argparse, the second only by argparse
+@pytest.mark.parametrize("flag", [["--dual-bundle", ""], ["--dual-bundle="]])
+def test_empty_dual_bundle_path_is_a_missing_file(capsys, bundle_path, flag):
+    argv = ["--bundle", bundle_path, *flag, "verify"]
+    assert (cli.parse_argv(argv) is None) == (len(flag) == 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_verify_ok(capsys, bundle_path):
     code, out, _ = run_cli(capsys, "--bundle", bundle_path, "verify")
     assert code == 0

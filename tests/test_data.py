@@ -146,13 +146,14 @@ def test_identities_check_matches_reference_on_d_s_permutations(f4_doc):
     assert failing == 96
 
 
-def _toy_poset(group_id, ds):
-    """Four orbits 0 < a, b < r with classes 1 and c on r."""
+def _toy_poset(group_id, ds, bar_a=None):
+    """Four orbits 0 < a, b < r with classes 1 and c on r, unless ``bar_a``
+    gives others."""
     return BundlePoset(
         group_id=group_id,
         labels=("0", "a", "b", "r"),
         covers=(("0", "a"), ("0", "b"), ("a", "r"), ("b", "r")),
-        bar_a={"r": ("1", "c")},
+        bar_a=bar_a or {"r": ("1", "c")},
         ds=ds,
     )
 
@@ -167,31 +168,71 @@ INJECTIVE_DS = {
 MISSING_DS = {k: v for k, v in INJECTIVE_DS.items() if k != ("r", "c")}
 
 
+# on g, orbit a's classes 1 and c come before r's class c, which has no entry
+A_CLASSES = {"a": ("1", "c"), "r": ("1", "c")}
+
+
 @pytest.mark.parametrize(
-    "g_ds,gd_ds,fragment",
+    "g_ds,gd_ds,fragment,g_classes",
     [
         # the collision is reported before the dual side is tabulated
         pytest.param(
-            {**INJECTIVE_DS, ("r", "c"): "0"}, MISSING_DS, "embedding collision",
+            {**INJECTIVE_DS, ("r", "c"): "0"}, MISSING_DS, "embedding collision", None,
             id="embedding-collision",
         ),
         pytest.param(
-            INJECTIVE_DS, {**INJECTIVE_DS, ("r", "c"): "0"}, "not injective",
+            INJECTIVE_DS, {**INJECTIVE_DS, ("r", "c"): "0"}, "not injective", None,
             id="dual-side-not-injective",
         ),
         pytest.param(
-            INJECTIVE_DS, MISSING_DS, "no duality entry", id="dual-side-entry-missing"
+            INJECTIVE_DS, MISSING_DS, "no duality entry", None,
+            id="dual-side-entry-missing",
+        ),
+        # a collision ahead of a missing entry on the same side comes first
+        pytest.param(
+            {**MISSING_DS, ("a", "c"): "b"}, INJECTIVE_DS,
+            "embedding collision: ('a', '1') and ('a', 'c') both map to ('a', 'b')",
+            A_CLASSES, id="collision-then-missing",
+        ),
+        pytest.param(
+            MISSING_DS, INJECTIVE_DS, "no duality entry for (a, c) in toy", A_CLASSES,
+            id="missing-only",
         ),
     ],
 )
-def test_identities_check_matches_reference_on_toy_tables(g_ds, gd_ds, fragment):
-    g, gd = _toy_poset("toy", g_ds), _toy_poset("toy-dual", gd_ds)
+def test_identities_check_matches_reference_on_toy_tables(
+    g_ds, gd_ds, fragment, g_classes
+):
+    g, gd = _toy_poset("toy", g_ds, g_classes), _toy_poset("toy-dual", gd_ds)
     g.dual_d, gd.dual_d = d_table(gd), d_table(g)
     pair = DualPair(g, gd)
     result = data._check_duality_identities(pair)
     assert result == _reference_identities(pair)
     assert not result.passed
     assert fragment in result.details
+
+
+@pytest.mark.parametrize(
+    "edits,fragment",
+    [
+        ({("F4(a3)", "(123)"): "B2"}, "embedding collision"),
+        ({("F4(a3)", "(12)"): "A1", ("F4(a1)", "(12)"): "C3(a1)"}, "pr1 of"),
+    ],
+    ids=["collision", "pr1-differs"],
+)
+def test_identities_read_a_stored_tabulation_without_sommers_reads(
+    f4_doc, sommers_calls, edits, fragment
+):
+    for (orbit, cls), target in edits.items():
+        f4_doc["d_s"][orbit][cls] = target
+    bundle = data.parse_bundle(json.dumps(f4_doc))
+    fresh = data._check_duality_identities(data.dual_pair(bundle))
+    assert fragment in fresh.details
+    pair = data.dual_pair(bundle)
+    pair._table.pairs(pair.g)  # stored, as by an earlier query on the pair
+    sommers_calls.clear()
+    assert data._check_duality_identities(pair) == fresh
+    assert sommers_calls == []
 
 
 def test_round_trip(f4_bundle):
