@@ -12,8 +12,12 @@ Each public call here (``achar_dual``, ``min_special_cover``,
 ``is_special_pair``, ``wavefronts`` and ``refined_duality_failures``)
 reads the pair's table, shared with its flip and filled on first use: |B|
 Sommers lookups per poset per pair for |B| bar classes, so 21 on the
-self-dual F4, each special flag decided and each minimal special cover
-searched once, reading the order from lower sets with one label check.
+self-dual F4, each special flag decided, each minimal special cover
+searched and each D found once, reading the order from lower sets with
+one label check.  Once a poset is tabulated, ``DualPair.check`` passes a
+plain tuple that is one of its bar classes without a label check, so a
+warm ``achar_dual`` or ``wavefronts`` answer reads the tabulation's keys
+and the stored D.
 
 ``refined_duality_failures`` checks two laws of D on the table: the
 embedding is injective and pr1∘D = d_S.  D^3 = D and order reversal hold
@@ -37,20 +41,40 @@ def normalize_class(class_label: str) -> str:
 
 class DualPair(Record):
     """An oriented pair of mutually dual orbit posets.  Its one refined-duality
-    table, which ``flip()`` hands on, serves both orientations."""
+    table, which ``flip()`` hands on, serves both orientations.
+
+    A constructed pair keeps its flip, made on first use; the flip keeps no
+    pair, so no cycle forms, and its own ``flip()`` makes a new pair.
+    """
 
     g: NilpotentPoset
     gd: NilpotentPoset
 
     def __post_init__(self):
-        object.__setattr__(self, "_table", _DualityTable())
+        vars(self).update(_table=_DualityTable(), _flip=None)
 
     def flip(self) -> "DualPair":
-        flipped = object.__new__(DualPair)  # no __post_init__: no table to replace
-        vars(flipped).update(g=self.gd, gd=self.g, _table=self._table)
+        flipped = vars(self).get("_flip")
+        if flipped is None:
+            flipped = object.__new__(DualPair)  # no __post_init__: no table to replace
+            vars(flipped).update(g=self.gd, gd=self.g, _table=self._table)
+            if "_flip" in vars(self):
+                vars(self)["_flip"] = flipped
         return flipped
 
     def check(self, bc: BarClass) -> BarClass:
+        """bc with its class label normalized, or UnknownLabelError.
+
+        A plain tuple already among the bar classes of ``g``'s tabulation is
+        returned as it is: class labels are stored normalized (``parse_bundle``
+        refuses spaces), so the full check would return an equal pair.
+        """
+        if type(bc) is tuple:
+            try:
+                if bc in self._table._sides[self.g][0]:
+                    return bc
+            except (KeyError, TypeError):  # not tabulated yet, or unhashable
+                pass
         try:
             orbit, cls = bc
             cls = normalize_class(cls)
@@ -108,19 +132,20 @@ class _DualityTable:
 
     One dict per fact.  A poset's tabulation, every bar class's embedded
     pair in ``all_bar_classes`` order and each pair's preimages, is keyed
-    by the poset: one per poset.  A bar class's special flag and its
-    minimal special cover are keyed by its poset and the bar class, since
-    within a pair the poset fixes its partner; each is stored once
-    computed, so a call that raises changes no later answer.  Bar classes
-    must already have passed ``pair.check``.
+    by the poset: one per poset.  A bar class's special flag, its minimal
+    special cover and its refined dual D are keyed by its poset and the bar
+    class, since within a pair the poset fixes its partner; each is stored
+    once computed, so a call that raises changes no later answer.  Bar
+    classes must already have passed ``pair.check``.
     """
 
-    __slots__ = ("_sides", "_special", "_covers")
+    __slots__ = ("_sides", "_special", "_covers", "_duals")
 
     def __init__(self):
         self._sides = {}  # poset -> (pairs, hits)
         self._special = {}  # (poset, bar class) -> whether its flip unembeds
         self._covers = {}  # (poset, bar class) -> cover
+        self._duals = {}  # (poset, bar class) -> D
 
     def pairs(self, poset: NilpotentPoset) -> dict[BarClass, OrbitPair]:
         """``poset``'s embedded pairs: |B| Sommers lookups on first use."""
@@ -173,8 +198,11 @@ class _DualityTable:
 
     def dual(self, pair: DualPair, bc: BarClass) -> BarClass:
         """D(bc): embed the cover, flip, unembed on the dual side."""
-        cover = self.pairs(pair.g)[self.cover(pair, bc)]
-        return self.unembed(pair.gd, _flip_pair(cover))
+        key = (pair.g, bc)
+        if key not in self._duals:
+            cover = self.pairs(pair.g)[self.cover(pair, bc)]
+            self._duals[key] = self.unembed(pair.gd, _flip_pair(cover))
+        return self._duals[key]
 
 
 def min_special_cover(pair: DualPair, bc: BarClass) -> BarClass:

@@ -24,6 +24,7 @@ from orbitduality.errors import (
 )
 from orbitduality.orbits import BundlePoset, _least_one, classical_poset, d_table
 from orbitduality.packets import arthur_packet, check_jiang, cuwf, weak_packet
+from test_data import INJECTIVE_DS, _toy_poset as _four_orbit_toy
 
 GOLDEN_LIB = (
     Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "f4_lib.json"
@@ -140,7 +141,7 @@ def test_type_a_achar_is_transpose(a2_pair):
         assert achar_dual(a2_pair, (label, "1")) == (a2_pair.g.d(label), "1")
 
 
-def test_non_unique_cover_raises():
+def _non_unique_cover_pair():
     # hand-built tables: (0,1) is non-special with two incomparable
     # minimal special covers (a,1) and (b,1)
     poset = BundlePoset(
@@ -157,7 +158,11 @@ def test_non_unique_cover_raises():
         },
     )
     poset.dual_d = d_table(poset)
-    pair = DualPair(poset, poset)
+    return DualPair(poset, poset)
+
+
+def test_non_unique_cover_raises():
+    pair = _non_unique_cover_pair()
     assert not is_special_pair(pair, ("0", "1"))
     assert is_special_pair(pair, ("a", "1"))
     assert is_special_pair(pair, ("b", "1"))
@@ -165,6 +170,30 @@ def test_non_unique_cover_raises():
         min_special_cover(pair, ("0", "1"))
     with pytest.raises(NonUniqueCoverError):
         achar_dual(pair, ("0", "1"))
+
+
+def _not_injective_dual_pair():
+    # the dual side's (r,1) and (r,c) both embed as (r,0)
+    return DualPair(_four_orbit_toy("toy", INJECTIVE_DS),
+                    _four_orbit_toy("toy-dual", {**INJECTIVE_DS, ("r", "c"): "0"}))
+
+
+@pytest.mark.parametrize(
+    "make,error",
+    [(_non_unique_cover_pair, NonUniqueCoverError),
+     (_not_injective_dual_pair, InconsistentDataError)],
+    ids=["non-unique-cover", "dual-side-not-injective"],
+)
+def test_a_refined_dual_that_raises_stores_nothing(make, error):
+    # the first call checks the bar class in full, the second on the
+    # tabulation it left; both raise the same error and store no D
+    pair, texts = make(), []
+    for _ in range(2):
+        with pytest.raises(error) as raised:
+            achar_dual(pair, ("0", "1"))
+        texts.append(str(raised.value))
+        assert pair._table._duals == {}
+    assert texts[0] == texts[1]
 
 
 def test_refined_duality_matches_golden_answers(f4_pair):
@@ -228,6 +257,41 @@ def test_malformed_bar_class_raises_unknown_label(f4_pair):
                 fn(f4_pair, bc)
 
 
+def _typed_check(pair, bc):
+    found = pair.check(bc)
+    return type(found), found
+
+
+@pytest.mark.parametrize("separate", [False, True], ids=["self-dual", "separate"])
+def test_check_on_a_tabulation_answers_as_the_full_check(f4_bundle, separate):
+    # before tabulation every input takes the full check; after it, a plain
+    # tuple among the bar classes is passed on, and all else still the full
+    # check.  On the separate pair, tabulating one side leaves the other's
+    # check full, so each orientation is compared in both states
+    pair = data.dual_pair(f4_bundle, f4_bundle if separate else None)
+    inputs = list(all_bar_classes(pair.g)) + [
+        ("A1", ["1"]), ["A1", "1"], ("A1", " 1 "), ("A1",), ("B2", 1),
+        ("E8", "1"), ("F4(a3)", " (12) "), ("F4(a3)", "(13)"),
+    ]
+    sides = (pair, pair.flip())
+    assert pair._table._sides == {}
+    full = [[_outcome(_typed_check, side, bc) for bc in inputs] for side in sides]
+    assert full[0][-8:] == [
+        "UnknownLabelError: ('A1', ['1']) is not an (orbit, class) pair",
+        (tuple, ("A1", "1")),
+        (tuple, ("A1", "1")),
+        "UnknownLabelError: ('A1',) is not an (orbit, class) pair",
+        "UnknownLabelError: ('B2', 1) is not an (orbit, class) pair",
+        "UnknownLabelError: unknown orbit 'E8' in group F4",
+        (tuple, ("F4(a3)", "(12)")),
+        "UnknownLabelError: orbit F4(a3) of F4 has no class '(13)'",
+    ]
+    for side in sides:
+        achar_dual(side, ("0", "1"))  # tabulates side.g
+        assert [[_outcome(_typed_check, s, bc) for bc in inputs] for s in sides] == full
+    assert set(pair._table._sides) == {pair.g, pair.gd}
+
+
 def test_duality_tables_leave_no_reference_cycle(f4_bundle):
     # nothing that pairing, validating or a round of the session's queries
     # builds waits for the cyclic garbage collector: posets hold no partner
@@ -243,11 +307,14 @@ def test_duality_tables_leave_no_reference_cycle(f4_bundle):
             pair = make()
             for kind in F4_KINDS:
                 _f4_query(pair, f4_bundle, kind, _f4_arguments(f4_bundle, kind)[-1])
-            table = pair._table
-            assert pair.flip()._table is table
+            table, flip = pair._table, pair.flip()
+            assert flip._table is table
             assert set(table._sides) == {pair.g, pair.gd}  # one tabulation per poset
-            assert table._special and table._covers
-            del pair, table
+            assert table._special and table._covers and table._duals
+            # a constructed pair keeps its flip, which keeps no pair
+            assert (pair.flip() is flip) == ("_flip" in vars(pair))
+            assert "_flip" not in vars(flip)
+            del pair, table, flip
             assert gc.collect() == 0
     finally:
         gc.enable()
@@ -294,9 +361,9 @@ def test_f4_calls_read_and_search_pinned_counts(
     "call,checks",
     [
         (lambda pair, ps: achar_dual(pair, ("B2", "1")), 42),
-        (arthur_packet, 164),
-        (check_jiang, 245),
-        (weak_packet, 947),
+        (arthur_packet, 144),
+        (check_jiang, 225),
+        (weak_packet, 928),
         (lambda pair, ps: data.validate_bundle(
             data.parse_bundle(data.builtin_bundle_text("f4"))), 1290),
     ],
@@ -311,19 +378,25 @@ def test_f4_calls_check_pinned_label_counts(
 
 
 def test_repeated_calls_read_the_kept_table(
-    fresh_f4_pair, f4_params, sommers_calls, cover_searches
+    fresh_f4_pair, f4_params, sommers_calls, cover_searches, label_checks
 ):
-    # the pair keeps its table: a second round reads and searches nothing.
-    # Both orientations of the self-dual pair are one table, so the packet's
-    # 11 covers include achar_dual's
+    # the pair keeps its table: a second round reads and searches nothing,
+    # and its refined-duality queries check no label.  Both orientations of
+    # the self-dual pair are one table, so the packet's 11 covers include
+    # the others'
+    pair, x = fresh_f4_pair, f4_params.get("X2")
     rounds = []
     for _ in range(2):
-        achar_dual(fresh_f4_pair, ("B2", "1"))
-        arthur_packet(fresh_f4_pair, f4_params)
-        rounds.append((len(sommers_calls), len(cover_searches)))
-        sommers_calls.clear()
-        cover_searches.clear()
-    assert rounds == [(21, 11), (0, 0)]
+        achar_dual(pair, ("B2", "1"))
+        min_special_cover(pair, ("B2", "1"))
+        cuwf(pair, f4_params, x)
+        dict(duality.wavefronts(pair, ["0", "F4(a3)"]))
+        queries = (len(sommers_calls), len(cover_searches), len(label_checks))
+        arthur_packet(pair, f4_params)
+        rounds.append((queries, (len(sommers_calls), len(cover_searches))))
+        for calls in (sommers_calls, cover_searches, label_checks):
+            calls.clear()
+    assert rounds == [((21, 4, 54), (21, 11)), ((0, 0, 0), (0, 0))]
 
 
 def test_wavefronts_are_refined_duals_on_the_flip(f4_pair):
