@@ -23,7 +23,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .poset import BundlePoset, d_table, duality_failures, order_failures
-from .rootdata import Coweight, positive_roots, root_pairing, root_system
+from .rootdata import Coweight, positive_roots, root_system
 
 FORMAT_VERSION = 1
 _BRIEF_ITEMS = 4  # the items a failing check names before "... (n total)"
@@ -152,12 +152,12 @@ class ValidationReport(Record):
 # -- parsing -----------------------------------------------------------------
 
 def _reject_duplicate_keys(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise SchemaError(f"duplicate key {key!r} in bundle document")
-        seen[key] = value
-    return seen
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # name the first key given twice
+        keys = [key for key, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise SchemaError(f"duplicate key {key!r} in bundle document")
+    return obj
 
 
 def _is_int(value) -> bool:
@@ -521,14 +521,18 @@ def _check_dynkin_dims(poset):
     rs = poset.root_system()
     if rs is None:
         return True, "skipped: no root system"
-    bad = []
+    bad, columns = [], None
     for label in poset.labels:
         w = poset.weighted_dynkin(label)
         d = poset.dim(label)
         if w is None or d is None:
             continue
         pos = positive_roots(rs)  # cached; costly at high rank, so read late
-        pairings = [root_pairing(r, w) for r in pos]
+        columns = columns or tuple(zip(*pos))  # each node's coordinate per root
+        pairings = [0] * len(pos)  # root_pairing of each root, a node at a time
+        for t, column in zip(w.twice, columns):
+            if t:
+                pairings = [p + t * c for p, c in zip(pairings, column)]
         g0, g1 = pairings.count(0), pairings.count(2)
         expect = 2 * len(pos) + rs.rank - (2 * g0 + rs.rank) - g1
         if expect != d:

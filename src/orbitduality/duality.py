@@ -8,16 +8,17 @@ of its dual group; embedding a bar class as the pair
 refined duality, with a detour through the minimal special cover when
 the flipped pair is not itself in the image of the dual embedding.
 
-Each public call here (``achar_dual``, ``min_special_cover``,
-``is_special_pair``, ``wavefronts`` and ``refined_duality_failures``)
-reads the pair's table, shared with its flip and filled on first use: |B|
-Sommers lookups per poset per pair for |B| bar classes, so 21 on the
-self-dual F4, each special flag decided, each minimal special cover
-searched and each D found once, reading the order from lower sets with
-one label check.  Once a poset is tabulated, ``DualPair.check`` passes a
-plain tuple that is one of its bar classes without a label check, so a
-warm ``achar_dual`` or ``wavefronts`` answer reads the tabulation's keys
-and the stored D.
+Each public call here (``embed``, ``sommers_dual``, ``is_special_pair``,
+``achar_dual``, ``min_special_cover``, ``wavefronts`` and
+``refined_duality_failures``) reads the pair's table, shared with its flip
+and filled on first use: |B| Sommers lookups per poset per pair for |B| bar
+classes, so 21 on the self-dual F4, and each special flag, minimal special
+cover and D found once.  A poset's first cover search stores its special
+bar classes, each with the set of specials above it; a later search filters
+that list, reading the order from lower sets with one label check.  Once a
+poset is tabulated, ``DualPair.check`` passes a plain tuple that is one of
+its bar classes without a label check, so a warm query reads the
+tabulation's keys and the stored answer.
 
 ``refined_duality_failures`` checks two laws of D on the table: the
 embedding is injective and pr1∘D = d_S.  D^3 = D and order reversal hold
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import (GroupMismatchError, InconsistentDataError,
-                     MissingTableError, UnknownLabelError)
-from .poset import NilpotentPoset, _least_one
+                     MissingTableError, NonUniqueCoverError, UnknownLabelError)
+from .poset import NilpotentPoset
 
 BarClass = tuple[str, str]  # (orbit label, class label)
 OrbitPair = tuple[str, str]  # (orbit in G, orbit in the dual group)
@@ -94,13 +95,11 @@ def all_bar_classes(poset: NilpotentPoset) -> tuple[BarClass, ...]:
 
 
 def sommers_dual(pair: DualPair, bc: BarClass) -> str:
-    orbit, cls = pair.check(bc)
-    return pair.g.sommers(orbit, cls)
+    return embed(pair, bc)[1]
 
 
 def embed(pair: DualPair, bc: BarClass) -> OrbitPair:
-    orbit, cls = pair.check(bc)
-    return (orbit, pair.g.sommers(orbit, cls))
+    return pair._table.embedded(pair.g, pair.check(bc))
 
 
 def pair_leq(pair: DualPair, p: OrbitPair, q: OrbitPair) -> bool:
@@ -111,19 +110,18 @@ def pair_leq(pair: DualPair, p: OrbitPair, q: OrbitPair) -> bool:
         raise GroupMismatchError(str(exc)) from None
 
 
-def _read_leq(pair: DualPair, p: OrbitPair, q: OrbitPair) -> bool:
-    """``pair_leq`` on labels known to name orbits, read from lower sets."""
-    return p[0] in pair.g._below[q[0]] and q[1] in pair.gd._below[p[1]]
-
-
-def _flip_pair(p: OrbitPair) -> OrbitPair:
-    return (p[1], p[0])
-
-
 def is_special_pair(pair: DualPair, bc: BarClass) -> bool:
     """Whether the flipped embedded pair lies in the dual embedding image."""
-    target = _flip_pair(embed(pair, bc))
-    return pair._table.unembed(pair.gd, target) is not None
+    return pair._table.unflip(pair, pair.check(bc)) is not None
+
+
+def _least_special(above, ups, error):
+    """The one bar class in above whose up-set in ``ups`` holds all of above.
+    Unless there is exactly one, raise NonUniqueCoverError(error(count))."""
+    least = [s for s in above if ups[s].issuperset(above)]
+    if len(least) != 1:
+        raise NonUniqueCoverError(error(len(least)))
+    return least[0]
 
 
 class _DualityTable:
@@ -132,18 +130,22 @@ class _DualityTable:
 
     One dict per fact.  A poset's tabulation, every bar class's embedded
     pair in ``all_bar_classes`` order and each pair's preimages, is keyed
-    by the poset: one per poset.  A bar class's special flag, its minimal
+    by the poset: one per poset.  So are its special bar classes, in that
+    order, each with the set of special bar classes above it, stored by the
+    first cover search that decides every flag.  A bar class's special
+    flag (what its flipped pair unembeds to, if anything), its minimal
     special cover and its refined dual D are keyed by its poset and the bar
     class, since within a pair the poset fixes its partner; each is stored
     once computed, so a call that raises changes no later answer.  Bar
     classes must already have passed ``pair.check``.
     """
 
-    __slots__ = ("_sides", "_special", "_covers", "_duals")
+    __slots__ = ("_sides", "_special", "_ups", "_covers", "_duals")
 
     def __init__(self):
         self._sides = {}  # poset -> (pairs, hits)
-        self._special = {}  # (poset, bar class) -> whether its flip unembeds
+        self._special = {}  # (poset, bar class) -> what its flip unembeds to
+        self._ups = {}  # poset -> {special bar class: the specials above it}
         self._covers = {}  # (poset, bar class) -> cover
         self._duals = {}  # (poset, bar class) -> D
 
@@ -158,6 +160,13 @@ class _DualityTable:
             self._sides[poset] = pairs, hits
         return self._sides[poset][0]
 
+    def embedded(self, poset: NilpotentPoset, bc: BarClass) -> OrbitPair:
+        """bc's embedded pair: its own Sommers entry if another is missing."""
+        try:
+            return self.pairs(poset)[bc]
+        except MissingTableError:
+            return (bc[0], poset.sommers(*bc))
+
     def unembed(self, poset: NilpotentPoset, target: OrbitPair) -> BarClass | None:
         """Inverse of embed on ``poset``, None when not hit."""
         self.pairs(poset)
@@ -168,31 +177,40 @@ class _DualityTable:
             )
         return hits[0] if hits else None
 
+    def unflip(self, pair: DualPair, bc: BarClass) -> BarClass | None:
+        """The bar class of ``pair.gd`` that bc's flip unembeds to, or None."""
+        key = (pair.g, bc)
+        if key not in self._special:
+            orbit, image = self.embedded(pair.g, bc)
+            self._special[key] = self.unembed(pair.gd, (image, orbit))
+        return self._special[key]
+
     def cover(self, pair: DualPair, bc: BarClass) -> BarClass:
         """The unique smallest special bar class of ``pair.g`` above bc.
 
-        Walks the bar classes in order, deciding each special flag once per
-        table, and reads the order from lower sets.  Of the labels read, only
-        bc's Sommers value may name no dual orbit: the first ``pair_leq``, at
-        the first special class above bc's orbit, checks it.
+        Orders are read from lower sets.  Of the labels read, only bc's
+        Sommers value may name no dual orbit: one checked ``pair_leq``, at the
+        first special class above bc's orbit, checks it, on a poset's first
+        search before the later special flags are decided.
         """
-        g = pair.g
-        special, key = self._special, (g, bc)
+        g, key = pair.g, (pair.g, bc)
         if key not in self._covers:
-            pairs = self.pairs(g)
-            here, leq, above = pairs[bc], pair_leq, []
-            for other, p in pairs.items():
-                flag = (g, other)
-                if flag not in special:
-                    special[flag] = self.unembed(pair.gd, _flip_pair(p)) is not None
-                if special[flag] and here[0] in g._below[p[0]]:
-                    if leq(pair, here, p):
-                        above.append(other)
-                    leq = _read_leq  # bc's Sommers value is checked by now
-            self._covers[key] = _least_one(
-                above, lambda x, y: _read_leq(pair, pairs[x], pairs[y]),
-                lambda count: f"bar class {bc} of {g.group_id} has "
-                              f"{count} minimal special covers",
+            pairs, gb, db = self.pairs(g), g._below, pair.gd._below
+            here, ups = pairs[bc], self._ups.get(g)
+            walk = (s for s in pairs if self.unflip(pair, s)) if ups is None else ups
+            first = next((s for s in walk if here[0] in gb[pairs[s][0]]), None)
+            if first is not None:
+                pair_leq(pair, here, pairs[first])  # checks bc's Sommers value
+            if ups is None:  # above s: orbit up, Sommers value down
+                specials = {s: p for s, p in pairs.items() if self.unflip(pair, s)}
+                ups = self._ups[g] = {s: {t for t, (x, y) in specials.items()
+                                          if a in gb[x] and y in db[b]}
+                                      for s, (a, b) in specials.items()}
+            self._covers[key] = _least_special(
+                ups[bc] if bc in ups else {s for s in ups if here[0] in gb[pairs[s][0]]
+                                           and pairs[s][1] in db[here[1]]},
+                ups, lambda count: f"bar class {bc} of {g.group_id} has "
+                                   f"{count} minimal special covers",
             )
         return self._covers[key]
 
@@ -200,8 +218,7 @@ class _DualityTable:
         """D(bc): embed the cover, flip, unembed on the dual side."""
         key = (pair.g, bc)
         if key not in self._duals:
-            cover = self.pairs(pair.g)[self.cover(pair, bc)]
-            self._duals[key] = self.unembed(pair.gd, _flip_pair(cover))
+            self._duals[key] = self.unflip(pair, self.cover(pair, bc))
         return self._duals[key]
 
 

@@ -98,10 +98,12 @@ class NilpotentPoset:
         return a == b or self._image_key(a) == self._image_key(b)
 
     def zero(self) -> str:
-        return _least_one(self.labels, self.leq, self._no_extreme)
+        below = self._below
+        return _least_one(self.labels, lambda a, b: a in below[b], self._no_extreme)
 
     def regular(self) -> str:
-        return _least_one(self.labels, lambda a, b: self.leq(b, a), self._no_extreme)
+        below, down = self._below, self.labels[::-1]  # labels mostly run upwards
+        return _least_one(down, lambda a, b: b in below[a], self._no_extreme)
 
     def _no_extreme(self, count: int) -> str:
         return f"group {self.group_id} has no unique extreme orbit"
@@ -161,8 +163,9 @@ def duality_failures(poset: NilpotentPoset, dual: NilpotentPoset):
     bad = [a for a in poset.labels if poset.d(dual.d(poset.d(a))) != poset.d(a)]
     if bad:
         return "d^3 != d", bad
+    # d^3 = d has checked every value of d as a label of dual
     bad = [f"{a} <= {b}" for a in poset.labels for b in poset.labels
-           if a in poset._below[b] and not dual.leq(poset.d(b), poset.d(a))]
+           if a in poset._below[b] and poset.d(b) not in dual._below[poset.d(a)]]
     if bad:
         return "order reversal fails", bad
     image = {poset._image_key(dual.d(b)) for b in dual.labels}

@@ -95,13 +95,13 @@ def is_special_calls(monkeypatch):
 @pytest.fixture()
 def cover_searches(monkeypatch):
     """The minimal-special-cover searches that run; memo hits never reach
-    ``_least_one``, which each search calls once."""
+    ``_least_special``, which each search calls once."""
     calls = []
-    real = duality._least_one
+    real = duality._least_special
 
-    def counted(items, leq, error):
-        calls.append(items)
-        return real(items, leq, error)
+    def counted(above, ups, error):
+        calls.append(above)
+        return real(above, ups, error)
 
-    monkeypatch.setattr(duality, "_least_one", counted)
+    monkeypatch.setattr(duality, "_least_special", counted)
     return calls

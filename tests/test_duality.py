@@ -356,7 +356,9 @@ def test_f4_calls_read_and_search_pinned_counts(
 # the cover search reads both orders from lower sets, and one checked
 # pair_leq per search covers the one label there that may name no orbit, the
 # bar class's own Sommers value; the other checks are the callers' own and
-# the Sommers and bar-class reads that tabulate a poset
+# the Sommers and bar-class reads that tabulate a poset.  Validation reads
+# the closure order from lower sets too, for the extreme orbits and for
+# order reversal, where d^3 = d has already checked every value of d
 @pytest.mark.parametrize(
     "call,checks",
     [
@@ -365,7 +367,7 @@ def test_f4_calls_read_and_search_pinned_counts(
         (check_jiang, 225),
         (weak_packet, 928),
         (lambda pair, ps: data.validate_bundle(
-            data.parse_bundle(data.builtin_bundle_text("f4"))), 1290),
+            data.parse_bundle(data.builtin_bundle_text("f4"))), 672),
     ],
     ids=["achar_dual", "arthur_packet", "check_jiang", "weak_packet",
          "validate_bundle"],
@@ -397,6 +399,40 @@ def test_repeated_calls_read_the_kept_table(
         for calls in (sommers_calls, cover_searches, label_checks):
             calls.clear()
     assert rounds == [((21, 4, 54), (21, 11)), ((0, 0, 0), (0, 0))]
+
+
+@pytest.mark.parametrize("fn", [embed, sommers_dual, is_special_pair])
+def test_embed_sommers_and_special_flags_read_the_kept_table(
+    fresh_f4_pair, sommers_calls, label_checks, fn
+):
+    # the first call tabulates the poset: its bar classes and 21 reads, with
+    # one label check each, and the full check of its own bar class; every
+    # later call, on any bar class, reads the table and checks nothing
+    classes, rounds = all_bar_classes(fresh_f4_pair.g), []
+    sommers_calls.clear()
+    label_checks.clear()
+    for _ in range(2):
+        for bc in classes:
+            fn(fresh_f4_pair, bc)
+        rounds.append((len(sommers_calls), len(label_checks)))
+        sommers_calls.clear()
+        label_checks.clear()
+    assert rounds == [(21, 38), (0, 0)]
+
+
+def test_embed_on_an_incomplete_table_reads_the_class_own_entry(f4_doc):
+    # with an entry missing the table cannot be tabulated: each bar class is
+    # read from its own entry, and the missing one raises with its own name
+    del f4_doc["d_s"]["B3"]
+    pair = data.dual_pair(data.parse_bundle(json.dumps(f4_doc)))
+    assert embed(pair, ("A1", "1")) == ("A1", "F4(a1)")
+    assert sommers_dual(pair, ("F4(a3)", "(12)")) == "C3(a1)"
+    for fn in (embed, sommers_dual, is_special_pair):
+        assert _outcome(fn, pair, ("B3", "1")) == (
+            "MissingTableError: no duality entry for (B3, 1) in F4")
+    # the dual side is this poset, so a flag still needs the whole table
+    assert _outcome(is_special_pair, pair, ("A1", "1")) == (
+        "MissingTableError: no duality entry for (B3, 1) in F4")
 
 
 def test_wavefronts_are_refined_duals_on_the_flip(f4_pair):
@@ -545,6 +581,34 @@ def test_cover_search_matches_the_reference_on_seeded_toys():
                           for o in expected}
     assert kinds == {"value", "InconsistentDataError", "GroupMismatchError",
                      "NonUniqueCoverError"}
+
+
+def _unknown_value_before_a_collision_pair():
+    # a chain 0 < a < b < r.  (a,1)'s Sommers value names no orbit, and
+    # (b,1) is the first special class above a.  Both classes of 0 embed as
+    # (0,r), the flip of the later (r,1), so deciding (r,1)'s flag collides
+    poset = BundlePoset(
+        group_id="toy", labels=("0", "a", "b", "r"),
+        covers=(("0", "a"), ("a", "b"), ("b", "r")), bar_a={"0": ("1", "c")},
+        ds={("0", "1"): "r", ("0", "c"): "r", ("a", "1"): "nowhere",
+            ("b", "1"): "b", ("r", "1"): "0"},
+    )
+    return DualPair(poset, poset)
+
+
+def test_first_search_checks_the_sommers_value_before_later_flags():
+    # the first search checks (a,1)'s value at (b,1), before it decides the
+    # flag of (r,1); a search that decided every flag first would report the
+    # collision.  The next search, from 0, reaches (r,1) and reports it
+    pair = _unknown_value_before_a_collision_pair()
+    found = [_outcome(min_special_cover, pair, bc) for bc in (("a", "1"), ("0", "1"))]
+    assert found == [
+        "GroupMismatchError: unknown orbit 'nowhere' in group toy",
+        "InconsistentDataError: embedding of toy is not injective at ('0', 'r')",
+    ]
+    fresh = _unknown_value_before_a_collision_pair()
+    assert found == [_outcome(_reference_cover, fresh, bc)
+                     for bc in (("a", "1"), ("0", "1"))]
 
 
 # -- the 13 query kinds of an F4 session ---------------------------------------

@@ -342,6 +342,18 @@ def test_non_unique_special_closure_raises():
         poset.special_closure("0")
 
 
+def test_a_closure_cycle_leaves_two_least_special_orbits(f4_doc):
+    # the cover B3 <= F4(a3) closes a 2-cycle with F4(a3) <= B3; both are
+    # special and above C3(a1), and each is below the other, so both are
+    # least.  dual_pair does not validate, so the cycle reaches the search
+    f4_doc["closure"].append(["B3", "F4(a3)"])
+    pair = data.dual_pair(data.parse_bundle(json.dumps(f4_doc)))
+    with pytest.raises(NonUniqueCoverError) as raised:
+        pair.g.special_closure("C3(a1)")
+    assert str(raised.value) == (
+        "orbit C3(a1) in F4 has no unique minimal special orbit above it")
+
+
 def test_f4_specials_are_worked_out_once(fresh_f4_pair, is_special_calls):
     # the first pass over every piece asks each label once; the second
     # reads the kept specials
