@@ -126,13 +126,13 @@ def _verify(bundle, pair, report):
 
 
 def _list(bundle, pair, report):
-    g = pair.g
+    g, specials = pair.g, set(pair.g.specials())
     lines = []
     payload = {"group": g.group_id, "orbits": [], "parameters": []}
     for label in g.labels:
         classes = g.bar_classes(label)
         dim = g.dim(label)
-        special = g.is_special(label)
+        special = label in specials
         lines.append(
             f"{label}  dim={dim if dim is not None else '?'}  "
             f"{'special' if special else 'non-special'}  classes={','.join(classes)}"

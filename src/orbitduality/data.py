@@ -393,7 +393,8 @@ def dual_pair(bundle: GroupBundle, dual_bundle: GroupBundle | None = None) -> Du
         )
     g = bundle_poset(bundle)
     gd = g if dual_bundle is None else bundle_poset(dual_bundle)
-    g.dual_d, gd.dual_d = d_table(gd), d_table(g)
+    g.dual_d = d_table(gd)
+    gd.dual_d = g.dual_d if gd is g else d_table(g)
     return DualPair(g, gd)
 
 
@@ -497,7 +498,8 @@ def _check_d_duality(poset, dual):
 
 @_check
 def _check_special_flags(bundle, poset):
-    bad = [o.label for o in bundle.orbits if poset.is_special(o.label) != o.special]
+    specials = set(poset.specials())
+    bad = [o.label for o in bundle.orbits if (o.label in specials) != o.special]
     if bad:
         return False, "flags disagree with d∘d fixed points at " + _brief(bad)
     return True, ""

@@ -1,6 +1,6 @@
-"""Classical orbit posets, filled from partitions, and every name of
-``poset``.  Importing this module compiles the classical code and
-``partitions`` at once: a sweep worker imports it before it times a build.
+"""Classical orbit posets, filled from partitions.  Importing this module
+compiles the classical code and ``partitions`` at once: a sweep worker
+imports it before it times a build, then reads the two ``poset`` names below.
 """
 
 from __future__ import annotations
@@ -8,13 +8,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import partitions as pt
-from .errors import MissingTableError, NonUniqueCoverError, UnknownLabelError
-from .poset import (  # noqa: F401  re-exported
-    BundlePoset, NilpotentPoset, _least_one, bvls_dual, closure_leq, d_table,
-    duality_failures, is_special, order_failures, special_closure,
-    special_piece_of, transitive_closure,
-)
-from .rootdata import Coweight, RootSystem, root_system
+from .errors import MissingTableError, UnknownLabelError
+from .poset import NilpotentPoset
+from .poset import bvls_dual, special_piece_of  # noqa: F401  for the sweep worker
+from .rootdata import root_system
 
 
 def partition_label(p: pt.Partition, decoration: str = "") -> str:

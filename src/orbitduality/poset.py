@@ -3,7 +3,7 @@
 
 ``data``, ``duality`` and ``packets`` import this module, so a CLI call does
 not compile ``orbits``' classical posets or ``partitions``, which it never
-runs.  ``orbits`` re-exports every name defined here.
+runs.  ``orbits`` passes on only ``bvls_dual`` and ``special_piece_of``.
 """
 
 from __future__ import annotations
@@ -160,16 +160,17 @@ def duality_failures(poset: NilpotentPoset, dual: NilpotentPoset):
     In order: d^3 = d, exactly; d reverses the closure order; the special
     orbits are the image of the dual's ``d``, up to ``poset._image_key``.
     """
-    bad = [a for a in poset.labels if poset.d(dual.d(poset.d(a))) != poset.d(a)]
+    d = {a: poset.d(a) for a in poset.labels}  # the column the laws read
+    bad = [a for a in poset.labels if poset.d(dual.d(d[a])) != d[a]]
     if bad:
         return "d^3 != d", bad
     # d^3 = d has checked every value of d as a label of dual
     bad = [f"{a} <= {b}" for a in poset.labels for b in poset.labels
-           if a in poset._below[b] and poset.d(b) not in dual._below[poset.d(a)]]
+           if a in poset._below[b] and d[b] not in dual._below[d[a]]]
     if bad:
         return "order reversal fails", bad
     image = {poset._image_key(dual.d(b)) for b in dual.labels}
-    bad = [a for a in poset.labels if poset.same_image(dual.d(poset.d(a)), a)
+    bad = [a for a in poset.labels if poset.same_image(dual.d(d[a]), a)
            != (poset._image_key(a) in image)]
     if bad:
         return "specials differ from the image of d", bad

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 from orbitduality import data, duality
-from orbitduality.orbits import NilpotentPoset
+from orbitduality.poset import NilpotentPoset
 
 # reproducible property tests that keep no example database on disk
 settings.register_profile(

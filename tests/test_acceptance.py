@@ -21,7 +21,7 @@ from orbitduality.duality import (
     sommers_dual,
 )
 from orbitduality.errors import BundleValidationError
-from orbitduality.orbits import classical_poset, duality_failures, order_failures
+from orbitduality.orbits import classical_poset
 from orbitduality.packets import (
     arthur_packet,
     az_dual,
@@ -34,6 +34,7 @@ from orbitduality.packets import (
     natural_key,
     weak_packet,
 )
+from orbitduality.poset import duality_failures, order_failures
 
 # wavefront column of the shipped twenty-parameter table
 EXPECTED_CUWF = {
@@ -153,7 +154,7 @@ def test_criterion_5_duality_identities(f4_pair):
     _identity_suite(f4_pair)
     for rank in range(1, 5):
         p = classical_poset("A", rank)
-        _identity_suite(DualPair(p, p.dual))
+        _identity_suite(DualPair(p, p.dual_d))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.3f}s, budget 5s"
     report(5, "duality identity suite on every loaded group pair", elapsed)
@@ -203,7 +204,7 @@ def test_criterion_7_classical_brute_force(f4_pair):
     for family, rank in LAW_RANKS:
         p = classical_poset(family, rank)
         assert order_failures(p) == [], p.group_id
-        assert duality_failures(p, p.dual) is None, p.group_id
+        assert duality_failures(p, p.dual_d) is None, p.group_id
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.3f}s, budget 10s"
     report(7, "classical collapse/transpose vs brute force to rank 4, "

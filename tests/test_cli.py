@@ -99,7 +99,7 @@ def test_dual_compiles_a_pinned_number_of_source_lines(bundle_path):
         "print(sum(len(open(m.__file__, encoding='utf-8').readlines())\n"
         "          for n, m in sys.modules.items() if n.split('.')[0] == 'orbitduality'))"
     )
-    assert int(lines) == 1860
+    assert int(lines) == 1863
 
 
 def test_dual_loads_no_argparse_and_no_classical_code(bundle_path):
@@ -183,12 +183,25 @@ def test_packet(capsys, bundle_path):
 
 
 def test_packet_reads_one_duality_table(capsys, bundle_path, sommers_calls):
-    # 431 reads validate the bundle, 21 of them tabulating the pair's one
-    # self-dual table; the packet and every member's cuwf then read that
-    # table, where a fresh table would add 21 and a table per member 105
+    # 133 reads validate the bundle: 21 tabulate the pair's one self-dual
+    # table, and the laws of d and the stored specials read 112.  The packet
+    # and every member's cuwf then read that table, where a fresh table
+    # would add 21 and a table per member 105
     code, _, _ = run_cli(capsys, "--bundle", bundle_path, "packet", "F4(a3)")
     assert code == 0
-    assert len(sommers_calls) == 431
+    assert len(sommers_calls) == 133
+
+
+def test_validation_stores_the_specials_later_reads_use(f4_bundle, is_special_calls):
+    # the special-flags check asks each orbit once; the special pieces and
+    # list then read the specials it stored
+    pair, report = data.validated_pair(f4_bundle)
+    assert len(is_special_calls) == len(f4_bundle.orbits) == 16
+    is_special_calls.clear()
+    assert len(pair.g.special_piece("F4(a3)")) == 5
+    code, _, payload = cli._list(f4_bundle, pair, report)
+    assert code == 0 and sum(o["special"] for o in payload["orbits"]) == 11
+    assert is_special_calls == []
 
 
 def test_a_call_pairs_its_bundles_once(capsys, bundle_path, monkeypatch):

@@ -15,7 +15,8 @@ from orbitduality.errors import (
     SchemaError,
     UnknownLabelError,
 )
-from orbitduality.orbits import BundlePoset, classical_poset, d_table
+from orbitduality.orbits import classical_poset
+from orbitduality.poset import BundlePoset, d_table
 from orbitduality.rootdata import Coweight
 
 
@@ -673,6 +674,16 @@ def test_only_dual_pair_gives_posets_their_dual_tables(f4_bundle):
         assert pair.g.specials() == pair.gd.specials() == flagged
 
 
+def test_a_pairing_builds_one_d_table_per_distinct_dual(f4_bundle, monkeypatch):
+    built = []
+    monkeypatch.setattr(data, "d_table", lambda p: built.append(p) or d_table(p))
+    pair = data.dual_pair(f4_bundle)
+    assert built == [pair.g] and pair.g.dual_d is pair.gd.dual_d
+    built.clear()
+    pair = data.dual_pair(f4_bundle, f4_bundle)
+    assert built == [pair.gd, pair.g] and pair.g.dual_d is not pair.gd.dual_d
+
+
 def _two_orbit_type_a_doc(rank):
     return {
         "format_version": 1,
@@ -817,7 +828,7 @@ def test_type_a_bundle_path_matches_partition_path(rank):
         for b in p.labels:
             assert g.leq(name[a], name[b]) == p.leq(a, b), (a, b)
     if rank <= 9:
-        classical = DualPair(p, p.dual)
+        classical = DualPair(p, p.dual_d)
         for a in p.labels:
             assert achar_dual(pair, (name[a], "1")) == (name[p.d(a)], "1")
             assert achar_dual(classical, (a, "1")) == (p.d(a), "1")

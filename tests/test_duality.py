@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitduality import data, duality, orbits, packets
+from orbitduality import data, duality, packets
 from orbitduality.duality import (
     DualPair,
     achar_dual,
@@ -22,8 +22,16 @@ from orbitduality.errors import (
     NonUniqueCoverError,
     UnknownLabelError,
 )
-from orbitduality.orbits import BundlePoset, _least_one, classical_poset, d_table
+from orbitduality.orbits import classical_poset
 from orbitduality.packets import arthur_packet, check_jiang, cuwf, weak_packet
+from orbitduality.poset import (
+    BundlePoset,
+    _least_one,
+    bvls_dual,
+    closure_leq,
+    d_table,
+    special_piece_of,
+)
 from test_data import INJECTIVE_DS, _toy_poset as _four_orbit_toy
 
 GOLDEN_LIB = (
@@ -34,7 +42,7 @@ GOLDEN_LIB = (
 @pytest.fixture(scope="module")
 def a2_pair():
     p = classical_poset("A", 2)
-    return DualPair(p, p.dual)
+    return DualPair(p, p.dual_d)
 
 
 def test_sommers_examples(f4_pair, a2_pair):
@@ -323,10 +331,12 @@ def test_duality_tables_leave_no_reference_cycle(f4_bundle):
 # the self-dual F4 pair has one poset, so its table tabulates it once (21
 # reads) for both sides; each call asks one orientation and searches each
 # cover it needs once.  These are first calls, on a pair no call has used.
-# Validating F4 against a separate copy of itself runs every check on both
-# sides: each side's 410 reads besides the tabulation and each poset
-# tabulated once for both orientations (42); each side's injectivity walk
-# reads that tabulation.
+# Validating F4 reads 112 entries besides the tabulation: the laws of d read
+# the d column once and the dual's d of each label and each dual label (80),
+# and the specials, stored once, read d and the dual's d of each label (32).
+# Against a separate copy of itself it runs every check on both sides: each
+# side's 112 reads and each poset tabulated once for both orientations (42);
+# each side's injectivity walk reads that tabulation.
 # weak_packet adds its bound's d and the special piece's specials, worked out
 # once per poset: d and the dual's d of each of the 16 labels
 @pytest.mark.parametrize(
@@ -339,9 +349,9 @@ def test_duality_tables_leave_no_reference_cycle(f4_bundle):
         (check_jiang, 22, 11),
         (weak_packet, 54, 11),
         (lambda pair, ps: data.validate_bundle(
-            data.parse_bundle(data.builtin_bundle_text("f4"))), 431, 21),
+            data.parse_bundle(data.builtin_bundle_text("f4"))), 133, 21),
         (lambda pair, ps: data.validate_bundle(
-            f4 := data.parse_bundle(data.builtin_bundle_text("f4")), f4), 862, 42),
+            f4 := data.parse_bundle(data.builtin_bundle_text("f4")), f4), 266, 42),
     ],
     ids=["identities", "achar_dual", "cuwf", "arthur_packet", "check_jiang",
          "weak_packet", "validate_bundle", "validate_bundle_separate_dual"],
@@ -358,7 +368,7 @@ def test_f4_calls_read_and_search_pinned_counts(
 # bar class's own Sommers value; the other checks are the callers' own and
 # the Sommers and bar-class reads that tabulate a poset.  Validation reads
 # the closure order from lower sets too, for the extreme orbits and for
-# order reversal, where d^3 = d has already checked every value of d
+# order reversal, which reads the d column that d^3 = d built and checked
 @pytest.mark.parametrize(
     "call,checks",
     [
@@ -367,7 +377,7 @@ def test_f4_calls_read_and_search_pinned_counts(
         (check_jiang, 225),
         (weak_packet, 928),
         (lambda pair, ps: data.validate_bundle(
-            data.parse_bundle(data.builtin_bundle_text("f4"))), 672),
+            data.parse_bundle(data.builtin_bundle_text("f4"))), 374),
     ],
     ids=["achar_dual", "arthur_packet", "check_jiang", "weak_packet",
          "validate_bundle"],
@@ -642,9 +652,9 @@ def _f4_query(pair, bundle, kind, args):
         "achar_dual.g": lambda: achar_dual(pair, args),
         "achar_dual.gd": lambda: achar_dual(pair.flip(), args),
         "min_special_cover": lambda: min_special_cover(pair, args),
-        "closure_leq": lambda: orbits.closure_leq(g, *args),
-        "bvls_dual": lambda: orbits.bvls_dual(g, *args),
-        "special_piece_of": lambda: orbits.special_piece_of(g, *args),
+        "closure_leq": lambda: closure_leq(g, *args),
+        "bvls_dual": lambda: bvls_dual(g, *args),
+        "special_piece_of": lambda: special_piece_of(g, *args),
         "cuwf": lambda: cuwf(pair, *param[args[0]]),
         "geometric_wf": lambda: packets.geometric_wf(pair, *param[args[0]]),
         "arthur_packet": lambda: arthur_packet(pair, sets[args[0]]),

@@ -13,18 +13,16 @@ from orbitduality.errors import (
     NonUniqueCoverError,
     UnknownLabelError,
 )
-from orbitduality.orbits import (
+from orbitduality.orbits import ClassicalPoset, classical_poset, partition_label
+from orbitduality.poset import (
     BundlePoset,
-    ClassicalPoset,
     NilpotentPoset,
     bvls_dual,
-    classical_poset,
     closure_leq,
     d_table,
     duality_failures,
     is_special,
     order_failures,
-    partition_label,
     special_closure,
     special_piece_of,
 )
@@ -76,7 +74,7 @@ def test_classical_duality_laws():
     for fam, rank in LAW_RANKS:
         p = classical_poset(fam, rank)
         assert order_failures(p) == [], p.group_id
-        assert duality_failures(p, p.dual) is None, p.group_id
+        assert duality_failures(p, p.dual_d) is None, p.group_id
 
 
 def strip_dec(label):
@@ -91,7 +89,7 @@ def test_classical_specials_match_brute_force_image():
     # decorations dropped, are exactly the image of the dual's d
     for fam, rank in LAW_RANKS:
         p = classical_poset(fam, rank)
-        q = p.dual
+        q = p.dual_d
         image = {strip_dec(q.d(b)) for b in q.labels}
         fixed = {strip_dec(a) for a in p.labels if p.is_special(a)}
         assert image == fixed, (fam, rank)
@@ -115,11 +113,11 @@ B6 = classical_poset("B", 6)
     # two d values swapped, twice; then the dual's d sending a non-special
     # C6 orbit to the non-special (6,6,1)
     (_variant(B6, [("(13)", B6.d("(11,1,1)")), ("(11,1,1)", B6.d("(13)"))]),
-     B6.dual, "d^3 != d", "(13)"),
+     B6.dual_d, "d^3 != d", "(13)"),
     (_variant(B6, [("(6,6,1)", B6.d("(5,3,2,2,1)")),
                    ("(5,3,2,2,1)", B6.d("(6,6,1)"))]),
-     B6.dual, "order reversal fails", "(5,5,3) <= (6,6,1)"),
-    (B6, _variant(B6.dual, [("(10,1,1)", "(6,6,1)")]),
+     B6.dual_d, "order reversal fails", "(5,5,3) <= (6,6,1)"),
+    (B6, _variant(B6.dual_d, [("(10,1,1)", "(6,6,1)")]),
      "specials differ from the image of d", "(6,6,1)"),
 ], ids=["d-cubed", "order-reversal", "specials-image"])
 def test_duality_failures_names_the_first_broken_law(g, gd, law, first):
@@ -138,7 +136,7 @@ def test_d_cubed_is_exact_on_type_d_twins():
     for rank in range(2, 11):
         p = classical_poset("D", rank)
         assert any(a.endswith("I") for a in p.labels) == (rank % 2 == 0)
-        assert all(p.d(p.dual.d(p.d(a))) == p.d(a) for a in p.labels), rank
+        assert all(p.d(p.dual_d.d(p.d(a))) == p.d(a) for a in p.labels), rank
 
 
 def test_special_closure_properties():
@@ -272,16 +270,18 @@ def test_only_nilpotent_poset_defines_is_special():
 
 
 def test_orbits_reexports_the_bundle_path_core():
+    # each poset name has one home, poset; orbits passes on only its base
+    # class and what the benchmark reads through it: orbits.bvls_dual and
+    # orbits.special_piece_of (perfbench/worker.py:52,55) and
+    # ClassicalPoset.dual, the alias of dual_d (perfbench/sweep.py:50).
+    # ROADMAP item 1c, which rewrites those readers, retires all three
     from orbitduality import orbits, poset
 
-    moved = [n for n, v in vars(poset).items()
+    shown = [n for n, v in vars(orbits).items()
              if getattr(v, "__module__", None) == "orbitduality.poset"]
-    assert sorted(moved) == [
-        "BundlePoset", "NilpotentPoset", "_least_one", "bvls_dual", "closure_leq",
-        "d_table", "duality_failures", "is_special", "order_failures",
-        "special_closure", "special_piece_of", "transitive_closure",
-    ]
-    assert all(getattr(orbits, n) is getattr(poset, n) for n in moved)
+    assert sorted(shown) == ["NilpotentPoset", "bvls_dual", "special_piece_of"]
+    assert all(getattr(orbits, n) is getattr(poset, n) for n in shown)
+    assert classical_poset("B", 3).dual is classical_poset("B", 3).dual_d
 
 
 def test_f4_specials(f4_pair, f4_bundle):

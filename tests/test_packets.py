@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from orbitduality import data, packets
 from orbitduality.duality import DualPair, achar_dual, embed, pair_leq
 from orbitduality.errors import InconsistentDataError, UnknownLabelError
-from orbitduality.orbits import BundlePoset, NilpotentPoset, classical_poset, d_table
+from orbitduality.orbits import classical_poset
 from orbitduality.packets import (
     JiangReport,
     Parameter,
@@ -26,6 +26,7 @@ from orbitduality.packets import (
     natural_key,
     weak_packet,
 )
+from orbitduality.poset import BundlePoset, NilpotentPoset, d_table
 from orbitduality.rootdata import Coweight, coweight_orbit, dominant_rep, root_system
 from test_data import _reference_identities
 
