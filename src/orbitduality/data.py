@@ -381,10 +381,10 @@ def bundle_poset(bundle: GroupBundle) -> BundlePoset:
 
 
 def dual_pair(bundle: GroupBundle, dual_bundle: GroupBundle | None = None) -> DualPair:
-    """The bundle's poset and its dual group's, each given the other's
-    ``d_table``: the one place posets are paired.  A bundle whose
-    ``dual_group`` is ``"self"`` is its own dual unless a dual bundle is
-    given; any other bundle needs one, else SchemaError.
+    """The one place posets are paired: each gets the other's ``d_table`` as
+    the ``dual_d`` every law and check reads.  A bundle whose ``dual_group``
+    is ``"self"`` is its own dual unless a dual bundle is given; any other
+    bundle needs one, else SchemaError.
     """
     if dual_bundle is None and bundle.dual_group != "self":
         raise SchemaError(
@@ -457,7 +457,7 @@ def _check_bar_classes(poset):
 
 
 @_check
-def _check_ds_table(bundle, poset, dual_labels):
+def _check_ds_table(bundle, poset):
     missing = []
     for label in poset.labels:
         for cls in poset.bar_classes(label):
@@ -477,20 +477,20 @@ def _check_ds_table(bundle, poset, dual_labels):
         f"({o}, {c}) -> {t}"
         for o, table in bundle.d_s.items()
         for c, t in table.items()
-        if t not in dual_labels
+        if t not in poset.dual_d.labels
     ]
     if bad:
         return False, "values outside dual group: " + _brief(bad)
     image = {t for table in bundle.d_s.values() for t in table.values()}
-    missed = sorted(set(dual_labels) - image)
+    missed = sorted(set(poset.dual_d.labels) - image)
     if missed:
         return False, "not surjective, missing " + _brief(missed)
     return True, "total and surjective"
 
 
 @_check
-def _check_d_duality(poset, dual):
-    failure = duality_failures(poset, dual)
+def _check_d_duality(poset):
+    failure = duality_failures(poset)
     if failure:
         return False, f"{failure[0]} at {_brief(failure[1])}"
     return True, "d^3 = d and d order-reversing"
@@ -558,10 +558,10 @@ def _check_az_links(bundle):
 
 
 @_check
-def _check_parameter_orbits(bundle, dual):
+def _check_parameter_orbits(bundle, poset):
     bad = [f"{x.id}: {x.n_orbit} not below {ps.ic_orbit}"
            for ps in bundle.parameter_sets for x in ps.params
-           if not dual.leq(x.n_orbit, ps.ic_orbit)]
+           if not poset.dual_d.leq(x.n_orbit, ps.ic_orbit)]
     return not bad, _brief(bad)
 
 
@@ -576,17 +576,17 @@ def _independent_checks(bundle, pair):
     return [
         _check_closure_order(pair.g, {o.label: o.special for o in bundle.orbits}),
         _check_bar_classes(pair.g),
-        _check_ds_table(bundle, pair.g, pair.gd.labels),
+        _check_ds_table(bundle, pair.g),
         _check_weighted_dynkin(pair.g),
         _check_dynkin_dims(pair.g),
         _check_az_links(bundle),
-        _check_parameter_orbits(bundle, pair.gd),
+        _check_parameter_orbits(bundle, pair.g),
     ]
 
 
 def _law_checks(bundle, pair):
     """Phase 2 on one side: the laws of d, then those of D if both hold."""
-    laws = [_check_d_duality(pair.g, pair.gd), _check_special_flags(bundle, pair.g)]
+    laws = [_check_d_duality(pair.g), _check_special_flags(bundle, pair.g)]
     if all(c.passed for c in laws):
         laws.append(_check_duality_identities(pair))
     return laws

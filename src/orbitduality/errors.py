@@ -34,7 +34,5 @@ class BundleValidationError(OrbitDualityError):
 
     def __init__(self, report):
         self.report = report
-        failed = [c.name for c in report.checks if not c.passed]
-        super().__init__(
-            "bundle validation failed: " + ", ".join(failed)
-        )
+        super().__init__("bundle validation failed: "
+                         + ", ".join(c.name for c in report.failures()))

@@ -1,5 +1,5 @@
-"""The bundle path's orbit posets: ``NilpotentPoset``, ``BundlePoset``, the
-``d_table`` a partner reads, and the laws of the closure order and of ``d``.
+"""The bundle path's orbit posets, the ``d_table`` a partner hands over as
+``dual_d``, the closure-order law, and the laws of ``d``, read through it.
 
 ``data``, ``duality`` and ``packets`` import this module, so a CLI call does
 not compile ``orbits``' classical posets or ``partitions``, which it never
@@ -20,9 +20,9 @@ class NilpotentPoset:
     ``bar_a`` maps an orbit to its bar classes (the trivial class ``"1"`` alone
     when absent); ``ds`` is the Sommers table, mapping (orbit label, class
     label) to a dual-group orbit label, and ``d`` is its trivial-class entry.
-    ``is_special`` reads the dual's ``d`` from ``dual_d`` (None:
-    MissingTableError) and compares labels through ``_image_key``, which
-    ``ClassicalPoset`` coarsens; ``specials`` keeps its answer per ``dual_d``.
+    Every law, check and ``is_special`` reads the dual side through ``dual_d``
+    (None: MissingTableError); ``specials`` keeps its answer per ``dual_d``,
+    and labels compare through ``_image_key``, which ``ClassicalPoset`` coarsens.
     """
 
     dual_d: NilpotentPoset | None = None
@@ -154,12 +154,14 @@ def order_failures(poset: NilpotentPoset) -> list[tuple[str, str]]:
             if a < b and a in poset._below[b] and b in poset._below[a]]
 
 
-def duality_failures(poset: NilpotentPoset, dual: NilpotentPoset):
+def duality_failures(poset: NilpotentPoset):
     """The first law of ``d`` that fails, as (what fails, where), or None.
 
-    In order: d^3 = d, exactly; d reverses the closure order; the special
-    orbits are the image of the dual's ``d``, up to ``poset._image_key``.
+    Each reads the dual side through ``poset.dual_d``.  In order: d^3 = d,
+    exactly; d reverses the closure order; ``poset.specials()``, stored for
+    later readers, are the image of the dual's ``d`` up to ``_image_key``.
     """
+    dual = poset.dual_d
     d = {a: poset.d(a) for a in poset.labels}  # the column the laws read
     bad = [a for a in poset.labels if poset.d(dual.d(d[a])) != d[a]]
     if bad:
@@ -170,8 +172,8 @@ def duality_failures(poset: NilpotentPoset, dual: NilpotentPoset):
     if bad:
         return "order reversal fails", bad
     image = {poset._image_key(dual.d(b)) for b in dual.labels}
-    bad = [a for a in poset.labels if poset.same_image(dual.d(d[a]), a)
-           != (poset._image_key(a) in image)]
+    specials = set(poset.specials())
+    bad = [a for a in poset.labels if (a in specials) != (poset._image_key(a) in image)]
     if bad:
         return "specials differ from the image of d", bad
     return None
@@ -197,7 +199,7 @@ def transitive_closure(labels, covers) -> dict[str, set[str]]:
 class BundlePoset(NilpotentPoset):
     """Orbit poset loaded from a data bundle: its tables filled from the
     bundle's covering pairs, bar classes and Sommers table.  It holds no
-    partner: ``data.dual_pair`` sets ``dual_d`` to the dual's ``d_table``.
+    partner: ``data.dual_pair`` sets ``dual_d`` to the partner's ``d_table``.
     """
 
     def __init__(self, group_id, labels, covers, bar_a, ds,
@@ -207,8 +209,8 @@ class BundlePoset(NilpotentPoset):
 
 
 def d_table(poset: NilpotentPoset) -> NilpotentPoset:
-    """What ``is_special`` reads of a dual poset: group id, labels, ``d``."""
-    return NilpotentPoset(poset.group_id, dict.fromkeys(poset.labels, ()), {},
+    """The ``dual_d`` a partner hands over: group id, labels, lower sets, d."""
+    return NilpotentPoset(poset.group_id, poset._below, {},
                           {k: t for k, t in poset._ds.items() if k[1] == "1"})
 
 

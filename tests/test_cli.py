@@ -183,18 +183,18 @@ def test_packet(capsys, bundle_path):
 
 
 def test_packet_reads_one_duality_table(capsys, bundle_path, sommers_calls):
-    # 133 reads validate the bundle: 21 tabulate the pair's one self-dual
-    # table, and the laws of d and the stored specials read 112.  The packet
+    # 117 reads validate the bundle: 21 tabulate the pair's one self-dual
+    # table, and the laws of d, which store the specials, read 96.  The packet
     # and every member's cuwf then read that table, where a fresh table
     # would add 21 and a table per member 105
     code, _, _ = run_cli(capsys, "--bundle", bundle_path, "packet", "F4(a3)")
     assert code == 0
-    assert len(sommers_calls) == 133
+    assert len(sommers_calls) == 117
 
 
 def test_validation_stores_the_specials_later_reads_use(f4_bundle, is_special_calls):
-    # the special-flags check asks each orbit once; the special pieces and
-    # list then read the specials it stored
+    # the laws of d ask each orbit once; the special-flags check, the special
+    # pieces and list then read the specials they stored
     pair, report = data.validated_pair(f4_bundle)
     assert len(is_special_calls) == len(f4_bundle.orbits) == 16
     is_special_calls.clear()

@@ -268,12 +268,13 @@ def test_closure_cycle_names_antisymmetry(f4_doc):
 
 def test_minimum_must_be_zero_orbit(f4_doc):
     text = json.dumps(f4_doc).replace('"0"', '"Z"')
-    details = {}
     with pytest.raises(BundleValidationError) as err:
         data.load_bundle(text)
     details = {c.name: c.details for c in err.value.report.failures()}
     assert "closure_order" in details
     assert "expected '0'" in details["closure_order"]
+    # the message names the report's failures, skipped checks included
+    assert str(err.value) == "bundle validation failed: closure_order, d_duality"
 
 
 def test_zero_orbit_must_be_special(f4_doc):
@@ -663,15 +664,29 @@ def test_only_dual_pair_gives_posets_their_dual_tables(f4_bundle):
         data.bundle_poset(f4_bundle).is_special("0")
     for pair in (data.dual_pair(f4_bundle), data.dual_pair(f4_bundle, f4_bundle)):
         for poset, dual in ((pair.g, pair.gd), (pair.gd, pair.g)):
-            # the partner's group id, labels and d column, never the partner
+            # the partner's group id, labels, lower sets and d column, never
+            # the partner: dual_d answers labels, leq and d as the partner does
             table = poset.dual_d
             assert table is not dual and not hasattr(poset, "dual")
             assert (table.group_id, table.labels) == (dual.group_id, dual.labels)
             assert [table.d(a) for a in table.labels] == [dual.d(a) for a in dual.labels]
+            assert [table.leq(a, b) for a in table.labels for b in table.labels] == [
+                dual.leq(a, b) for a in dual.labels for b in dual.labels]
             with pytest.raises(UnknownLabelError, match="unknown orbit 'E8' in group F4"):
                 table.d("E8")
         flagged = tuple(o.label for o in f4_bundle.orbits if o.special)
         assert pair.g.specials() == pair.gd.specials() == flagged
+
+
+def test_the_laws_of_d_decide_the_specials_the_flags_check_reads(
+    f4_bundle, fresh_f4_pair, is_special_calls
+):
+    g = fresh_f4_pair.g
+    assert data._check_d_duality(g).passed
+    assert len(is_special_calls) == len(g.labels) == 16
+    is_special_calls.clear()
+    assert data._check_special_flags(f4_bundle, g).passed
+    assert is_special_calls == []
 
 
 def test_a_pairing_builds_one_d_table_per_distinct_dual(f4_bundle, monkeypatch):

@@ -331,11 +331,13 @@ def test_duality_tables_leave_no_reference_cycle(f4_bundle):
 # the self-dual F4 pair has one poset, so its table tabulates it once (21
 # reads) for both sides; each call asks one orientation and searches each
 # cover it needs once.  These are first calls, on a pair no call has used.
-# Validating F4 reads 112 entries besides the tabulation: the laws of d read
-# the d column once and the dual's d of each label and each dual label (80),
-# and the specials, stored once, read d and the dual's d of each label (32).
-# Against a separate copy of itself it runs every check on both sides: each
-# side's 112 reads and each poset tabulated once for both orientations (42);
+# Validating F4 reads 96 entries besides the tabulation: the laws of d read
+# the d column once, d^3 = d the dual's d of each label and d of that, and
+# the specials law the dual's d of each dual label (64); that law decides
+# the specials, reading d and the dual's d of each label (32), and stores
+# them for the special-flags check.  Against a separate copy of itself it
+# runs every check on both sides: each side's 96 reads and each poset
+# tabulated once for both orientations (42);
 # each side's injectivity walk reads that tabulation.
 # weak_packet adds its bound's d and the special piece's specials, worked out
 # once per poset: d and the dual's d of each of the 16 labels
@@ -349,9 +351,9 @@ def test_duality_tables_leave_no_reference_cycle(f4_bundle):
         (check_jiang, 22, 11),
         (weak_packet, 54, 11),
         (lambda pair, ps: data.validate_bundle(
-            data.parse_bundle(data.builtin_bundle_text("f4"))), 133, 21),
+            data.parse_bundle(data.builtin_bundle_text("f4"))), 117, 21),
         (lambda pair, ps: data.validate_bundle(
-            f4 := data.parse_bundle(data.builtin_bundle_text("f4")), f4), 266, 42),
+            f4 := data.parse_bundle(data.builtin_bundle_text("f4")), f4), 234, 42),
     ],
     ids=["identities", "achar_dual", "cuwf", "arthur_packet", "check_jiang",
          "weak_packet", "validate_bundle", "validate_bundle_separate_dual"],
@@ -368,7 +370,8 @@ def test_f4_calls_read_and_search_pinned_counts(
 # bar class's own Sommers value; the other checks are the callers' own and
 # the Sommers and bar-class reads that tabulate a poset.  Validation reads
 # the closure order from lower sets too, for the extreme orbits and for
-# order reversal, which reads the d column that d^3 = d built and checked
+# order reversal, which reads the d column that d^3 = d built and checked.
+# The specials law decides the specials the special-flags check then reads
 @pytest.mark.parametrize(
     "call,checks",
     [
@@ -377,7 +380,7 @@ def test_f4_calls_read_and_search_pinned_counts(
         (check_jiang, 225),
         (weak_packet, 928),
         (lambda pair, ps: data.validate_bundle(
-            data.parse_bundle(data.builtin_bundle_text("f4"))), 374),
+            data.parse_bundle(data.builtin_bundle_text("f4"))), 358),
     ],
     ids=["achar_dual", "arthur_packet", "check_jiang", "weak_packet",
          "validate_bundle"],
