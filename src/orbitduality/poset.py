@@ -1,9 +1,9 @@
-"""The bundle path's orbit posets, the ``d_table`` a partner hands over as
-``dual_d``, the closure-order law, and the laws of ``d``, read through it.
-
-``data``, ``duality`` and ``packets`` import this module, so a CLI call does
-not compile ``orbits``' classical posets or ``partitions``, which it never
-runs.  ``orbits`` passes on only ``bvls_dual`` and ``special_piece_of``.
+"""The bundle path's orbit posets, each keeping its specials and asked pieces
+per ``dual_d``; the ``d_table`` a partner hands over as ``dual_d``; the
+closure-order law and the laws of ``d``, read through it.  ``data``,
+``duality`` and ``packets`` import this module, so a CLI call does not compile
+``orbits``' classical posets or ``partitions``, which it never runs.
+``orbits`` passes on only ``bvls_dual`` and ``special_piece_of``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ class NilpotentPoset:
     ``bar_a`` maps an orbit to its bar classes (the trivial class ``"1"`` alone
     when absent); ``ds`` is the Sommers table, mapping (orbit label, class
     label) to a dual-group orbit label, and ``d`` is its trivial-class entry.
-    Every law, check and ``is_special`` reads the dual side through ``dual_d``
-    (None: MissingTableError); ``specials`` keeps its answer per ``dual_d``,
-    and labels compare through ``_image_key``, which ``ClassicalPoset`` coarsens.
+    ``dual_d`` (None: MissingTableError) is the dual side every law, check and
+    ``is_special`` reads; the specials and asked pieces are kept per ``dual_d``.
+    Labels compare through ``_image_key``, which ``ClassicalPoset`` coarsens.
     """
 
     dual_d: NilpotentPoset | None = None
-    _specials: tuple = (None, None)  # (the dual_d read, its specials)
 
     def __init__(self, group_id, below, bar_a, ds,
                  dims=None, dynkin=None, rs: RootSystem | None = None):
@@ -38,6 +37,7 @@ class NilpotentPoset:
         self._dims = dict(dims or {})
         self._dynkin = dict(dynkin or {})
         self._rs = rs
+        self._kept = [None, None, {}]  # the dual_d read, its specials, its pieces
 
     # -- table lookups -----------------------------------------------------
 
@@ -109,18 +109,24 @@ class NilpotentPoset:
         return f"group {self.group_id} has no unique extreme orbit"
 
     def is_special(self, label: str) -> bool:
-        dual = self.dual_d
-        if dual is None:
+        return self.same_image(self._paired_dual().d(self.d(label)), label)
+
+    def _paired_dual(self) -> NilpotentPoset:
+        if self.dual_d is None:
             raise MissingTableError(
-                f"group {self.group_id} has no dual-group data attached"
-            )
-        return self.same_image(dual.d(self.d(label)), label)
+                f"group {self.group_id} has no dual-group data attached")
+        return self.dual_d
+
+    def _store(self) -> list:
+        if self._kept[0] is not self.dual_d:  # rebound: nothing kept holds
+            self._kept = [self.dual_d, None, {}]
+        return self._kept
 
     def specials(self) -> tuple[str, ...]:
-        if self._specials[0] is not self.dual_d or self._specials[1] is None:
-            self._specials = self.dual_d, tuple(
-                a for a in self.labels if self.is_special(a))
-        return self._specials[1]
+        kept = self._store()
+        if kept[1] is None:
+            kept[1] = tuple(a for a in self.labels if self.is_special(a))
+        return kept[1]
 
     def special_closure(self, label: str) -> str:
         """The unique minimal special orbit above label."""
@@ -133,8 +139,13 @@ class NilpotentPoset:
 
     def special_piece(self, label: str) -> tuple[str, ...]:
         """All orbits sharing this orbit's special closure, in label order."""
-        top = self.special_closure(label)
-        return tuple(b for b in self.labels if self.special_closure(b) == top)
+        try:
+            return self._store()[2][label]
+        except (KeyError, TypeError):  # not asked yet, or not a label
+            pass
+        top = self.special_closure(label)  # a call that raises keeps nothing
+        return self._kept[2].setdefault(label, tuple(
+            b for b in self.labels if self.special_closure(b) == top))
 
 
 def _least_one(items, leq, error):
@@ -161,7 +172,7 @@ def duality_failures(poset: NilpotentPoset):
     exactly; d reverses the closure order; ``poset.specials()``, stored for
     later readers, are the image of the dual's ``d`` up to ``_image_key``.
     """
-    dual = poset.dual_d
+    dual = poset._paired_dual()
     d = {a: poset.d(a) for a in poset.labels}  # the column the laws read
     bad = [a for a in poset.labels if poset.d(dual.d(d[a])) != d[a]]
     if bad:
@@ -199,8 +210,7 @@ def transitive_closure(labels, covers) -> dict[str, set[str]]:
 class BundlePoset(NilpotentPoset):
     """Orbit poset loaded from a data bundle: its tables filled from the
     bundle's covering pairs, bar classes and Sommers table.  It holds no
-    partner: ``data.dual_pair`` sets ``dual_d`` to the partner's ``d_table``.
-    """
+    partner: ``data.dual_pair`` sets ``dual_d`` to the partner's ``d_table``."""
 
     def __init__(self, group_id, labels, covers, bar_a, ds,
                  dims=None, dynkin=None, rs: RootSystem | None = None):

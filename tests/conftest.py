@@ -105,3 +105,17 @@ def cover_searches(monkeypatch):
 
     monkeypatch.setattr(duality, "_least_special", counted)
     return calls
+
+
+@pytest.fixture()
+def special_closures(monkeypatch):
+    """The labels ``NilpotentPoset.special_closure`` is asked about."""
+    calls = []
+    real = NilpotentPoset.special_closure
+
+    def counted(self, label):
+        calls.append(label)
+        return real(self, label)
+
+    monkeypatch.setattr(NilpotentPoset, "special_closure", counted)
+    return calls

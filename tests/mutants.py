@@ -50,4 +50,32 @@ MUTANTS = (
         "keep the same roots",
         equivalent=True,
     ),
+    Mutant(
+        "src/orbitduality/poset.py",
+        "if self._kept[0] is not self.dual_d:",
+        "if self._kept[0] is None:",
+        "the store keeps what it derived through the first dual_d it read, so "
+        "rebinding dual_d leaves the old specials and pieces in place",
+    ),
+    Mutant(
+        "src/orbitduality/poset.py",
+        "        top = self.special_closure(label)  # a call that raises keeps nothing\n"
+        "        return self._kept[2].setdefault(label, tuple(\n"
+        "            b for b in self.labels if self.special_closure(b) == top))",
+        "        top = self._kept[2].setdefault(label, ()) or self.special_closure(label)\n"
+        "        self._kept[2][label] = tuple(b for b in self.labels"
+        " if self.special_closure(b) == top)\n"
+        "        return self._kept[2][label]",
+        "special_piece takes its store entry before the checked computation "
+        "and fills it after, so a call that raises leaves an empty piece "
+        "behind; three lines for three, so the compiled-lines pin does not "
+        "catch it first",
+    ),
+    Mutant(
+        "src/orbitduality/poset.py",
+        "dual = poset._paired_dual()",
+        "dual = poset.dual_d",
+        "duality_failures on an unpaired poset raises AttributeError instead "
+        "of is_special's MissingTableError",
+    ),
 )

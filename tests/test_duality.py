@@ -392,6 +392,20 @@ def test_f4_calls_check_pinned_label_counts(
     assert len(label_checks) == checks
 
 
+def test_a_warm_weak_packet_reads_the_kept_piece(
+    fresh_f4_pair, f4_params, label_checks
+):
+    # the fresh call makes the pinned 928 checks, 805 of them working out
+    # the special piece; the warm one checks its bound's d and the 20 leq
+    # calls of the wavefront side, two labels each, and reads the piece
+    rounds = []
+    for _ in range(2):
+        weak_packet(fresh_f4_pair, f4_params)
+        rounds.append(len(label_checks))
+        label_checks.clear()
+    assert rounds == [928, 1 + 2 * 20]
+
+
 def test_repeated_calls_read_the_kept_table(
     fresh_f4_pair, f4_params, sommers_calls, cover_searches, label_checks
 ):

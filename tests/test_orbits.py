@@ -350,14 +350,18 @@ def test_non_unique_special_closure_raises():
         poset.special_closure("0")
 
 
+def _closure_cycle(f4_doc):
+    """The F4 pair with the cover B3 <= F4(a3) added, unvalidated."""
+    f4_doc["closure"].append(["B3", "F4(a3)"])
+    return data.dual_pair(data.parse_bundle(json.dumps(f4_doc)))
+
+
 def test_a_closure_cycle_leaves_two_least_special_orbits(f4_doc):
     # the cover B3 <= F4(a3) closes a 2-cycle with F4(a3) <= B3; both are
     # special and above C3(a1), and each is below the other, so both are
     # least.  dual_pair does not validate, so the cycle reaches the search
-    f4_doc["closure"].append(["B3", "F4(a3)"])
-    pair = data.dual_pair(data.parse_bundle(json.dumps(f4_doc)))
     with pytest.raises(NonUniqueCoverError) as raised:
-        pair.g.special_closure("C3(a1)")
+        _closure_cycle(f4_doc).g.special_closure("C3(a1)")
     assert str(raised.value) == (
         "orbit C3(a1) in F4 has no unique minimal special orbit above it")
 
@@ -371,6 +375,95 @@ def test_f4_specials_are_worked_out_once(fresh_f4_pair, is_special_calls):
             special_piece_of(g, a)
         assert len(is_special_calls) == calls
         is_special_calls.clear()
+
+
+def test_a_second_pass_over_every_piece_reads_the_kept_pieces(
+    fresh_f4_pair, label_checks, special_closures
+):
+    # the first pass works out 17 closures a label; the second reads each
+    # piece back and checks no label
+    g, rounds = fresh_f4_pair.g, []
+    for _ in range(2):
+        pieces = [g.special_piece(a) for a in g.labels]
+        rounds.append((pieces, len(label_checks), len(special_closures)))
+        label_checks.clear()
+        special_closures.clear()
+    (cold, checks, closures), warm = rounds
+    assert (checks, closures) == (12408, 16 * 17)
+    assert warm == (cold, 0, 0)
+
+
+def test_rebinding_dual_d_makes_the_kept_pieces_follow():
+    # the variant dual's d sends d(6,6,1) back to (6,6,1), which turns
+    # special in place of (7,5,1), so pieces change; each answer after the
+    # rebinding is a fresh poset's under the same dual
+    variant = _variant(B6.dual_d, [(B6.d("(6,6,1)"), "(6,6,1)")])
+    g = _paired(_variant(B6), B6.dual_d)
+    before = [g.special_piece(a) for a in g.labels]
+    after = [_paired(g, variant).special_piece(a) for a in g.labels]
+    fresh = _paired(_variant(B6), variant)
+    assert after == [fresh.special_piece(a) for a in g.labels] != before
+    assert [_paired(g, B6.dual_d).special_piece(a) for a in g.labels] == before
+
+
+@pytest.mark.parametrize("cycle,label,error,text", [
+    (False, "E8", UnknownLabelError, "unknown orbit 'E8' in group F4"),
+    (False, ["B2"], UnknownLabelError, "unknown orbit ['B2'] in group F4"),
+    (True, "C3(a1)", NonUniqueCoverError,
+     "orbit C3(a1) in F4 has no unique minimal special orbit above it"),
+    (True, "0", NonUniqueCoverError,
+     "orbit ~A1+A2 in F4 has no unique minimal special orbit above it"),
+], ids=["unknown", "unhashable", "closure-cycle", "closure-cycle-member"])
+def test_a_piece_that_raises_raises_again_on_every_call(
+    f4_doc, cycle, label, error, text
+):
+    # a call that raises keeps nothing, so no later call answers it; the
+    # piece of 0 raises at the first label whose closure is not unique
+    pair = _closure_cycle(f4_doc) if cycle else data.dual_pair(
+        data.parse_bundle(json.dumps(f4_doc)))
+    for _ in range(3):
+        with pytest.raises(error) as raised:
+            pair.g.special_piece(label)
+        assert str(raised.value) == text
+
+
+def test_unpaired_laws_and_pieces_need_the_dual_group_data():
+    # before pairing, the laws of d and a piece raise is_special's error,
+    # and the piece keeps nothing, so pairing answers it
+    poset = data.bundle_poset(data.parse_bundle(data.builtin_bundle_text("f4")))
+    for call in (lambda: duality_failures(poset), lambda: poset.special_piece("F4(a3)")):
+        for _ in range(2):
+            with pytest.raises(MissingTableError) as raised:
+                call()
+            assert str(raised.value) == "group F4 has no dual-group data attached"
+    with pytest.raises(UnknownLabelError):
+        poset.special_piece("E8")
+    poset.dual_d = d_table(poset)
+    assert duality_failures(poset) is None
+    assert len(poset.special_piece("F4(a3)")) == 5
+
+
+@pytest.mark.parametrize("poset", [
+    pytest.param(lambda: data.dual_pair(data.load_builtin_bundle("f4")).g, id="F4"),
+    *(pytest.param(lambda f=f, r=r: ClassicalPoset(f, r), id=f"{f}{r}")
+      for f, r in PIECE_RANKS),
+])
+def test_cold_and_warm_pieces_agree(poset):
+    p = poset()
+    cold = [p.special_piece(a) for a in p.labels]
+    assert [p.special_piece(a) for a in p.labels] == cold
+    assert all(a in piece for a, piece in zip(p.labels, cold))
+
+
+def test_one_pass_over_fresh_c6_pieces_works_out_1640_closures(special_closures):
+    # each piece works out its own closure and all 40 labels': 40 x 41.  The
+    # classical sweep asks each piece once on a fresh poset, so keeping pieces
+    # saves it nothing; this falls only with the closure table of ROADMAP
+    # item 4, after item 1b stops charging memory per operation
+    c6 = ClassicalPoset("C", 6)
+    for a in c6.labels:
+        special_piece_of(c6, a)
+    assert len(special_closures) == 40 * 41 == 1640
 
 
 def test_all_c6_pieces_ask_each_label_once(is_special_calls):
