@@ -85,9 +85,9 @@ def _cuwf(bundle, pair, report, param_id):
 
 
 def _packet(bundle, pair, report, ic):
-    from .packets import _arthur_packet_cuwfs
+    from .packets import _arthur_packet
 
-    cuwfs = list(_arthur_packet_cuwfs(pair, data.parameter_set(bundle, ic)))
+    _, _, cuwfs = _arthur_packet(pair, data.parameter_set(bundle, ic))
     lines = [f"{pid}  cuwf=({o}, {c})" for pid, (o, c) in cuwfs]
     members = [{"id": pid, "cuwf": {"orbit": o, "class": c}} for pid, (o, c) in cuwfs]
     return EXIT_OK, lines, {"ic_orbit": ic, "members": members}

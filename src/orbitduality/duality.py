@@ -237,7 +237,7 @@ def achar_dual(pair: DualPair, bc: BarClass) -> BarClass:
 def wavefronts(pair: DualPair, orbits):
     """Yield ``(orbit, (D(orbit, 1), its embedded pair))`` for each
     dual-side orbit in turn, D taken on ``pair.flip()`` and the pair in
-    ``pair.g``, all from the pair's table; ``dict()`` of it is the map.
+    ``pair.g``, all from the pair's table.
 
     Each label is checked just before its own lookups, and the orbits are
     read and answered one at a time, so a caller that tests each answer as

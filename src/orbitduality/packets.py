@@ -11,16 +11,16 @@ first projection.  ``Parameter`` and ``ParameterSet`` are defined in
 ``data``, which parses them, and imported here.
 
 One packet query (``arthur_packet``, ``weak_packet`` or ``check_jiang``)
-reads the bound and every parameter's invariant from one call of
-``duality.wavefronts``, on the refined-duality table the pair keeps: |B|
-Sommers-table lookups per poset per pair for |B| bar classes, in the
+reads one row per parameter: its partner's orbit, looked up once, and
+the answer of ``duality.wavefronts`` there.  The Arthur bound at ic_orbit
+comes first, from a call of its own.  Both calls read the pair's table:
+|B| Sommers-table lookups per poset per pair for |B| bar classes, in the
 pair's lifetime (21 on the self-dual F4).  Each orbit's label is
 checked just before its own lookups, in the order the query asks.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import mul
 
 from ._record import Record
@@ -61,49 +61,43 @@ def geometric_wf(pair: DualPair, ps: ParameterSet, x: Parameter) -> str:
     return cuwf(pair, ps, x)[0]
 
 
-def _partner_orbits(ps: ParameterSet):
-    return (az_dual(ps, x).n_orbit for x in ps)
+def _rows(pair: DualPair, ps: ParameterSet):
+    """Yield ``(id, partner orbit, (cuwf, its embedded pair))`` for each
+    parameter in set order, the answer read from ``wavefronts``; each
+    partner is looked up just before its own wavefront."""
+    partners = (az_dual(ps, x).n_orbit for x in ps)
+    for x, (orbit, found) in zip(ps, wavefronts(pair, partners)):
+        yield x.id, orbit, found
 
 
-def _invariant(found: dict, ps: ParameterSet, x: Parameter):
-    """x's wavefront invariant and its embedded pair, from a map of
-    ``wavefronts``."""
-    return found[az_dual(ps, x).n_orbit]
-
-
-def _arthur_packet(pair: DualPair, ps: ParameterSet) -> tuple[list[str], dict]:
-    """``arthur_packet``'s members and the map of ``wavefronts`` it read:
-    the bound at ic_orbit first, then every partner orbit."""
+def _arthur_packet(pair: DualPair, ps: ParameterSet):
+    """``arthur_packet``'s bound, the rows it read and its members, each
+    with its ``cuwf``: the bound at ic_orbit first, then every row."""
+    ((_, (_, bound)),) = wavefronts(pair, [ps.ic_orbit])
     # read in full first: pair_leq never fails on answers of D, so no
     # error moves ahead of another
-    found = dict(wavefronts(pair, chain([ps.ic_orbit], _partner_orbits(ps))))
-    bound = found[ps.ic_orbit][1]
-    by_wavefront = {
-        x.id for x in ps if pair_leq(pair, _invariant(found, ps, x)[1], bound)
-    }
-    by_tempered_dual = {x.id for x in ps if is_tempered(ps, az_dual(ps, x))}
+    rows = list(_rows(pair, ps))
+    members = sorted(
+        ((pid, wf) for pid, _, (wf, p) in rows if pair_leq(pair, p, bound)),
+        key=lambda m: natural_key(m[0]),
+    )
+    by_wavefront = {pid for pid, _ in members}
+    by_tempered_dual = {pid for pid, orbit, _ in rows if orbit == ps.ic_orbit}
     if by_wavefront != by_tempered_dual:
         raise InconsistentDataError(
             f"packet characterizations disagree at {ps.ic_orbit}: "
             f"wavefront {sorted(by_wavefront)} vs "
             f"tempered-dual {sorted(by_tempered_dual)}"
         )
-    return sorted(by_wavefront, key=natural_key), found
-
-
-def _arthur_packet_cuwfs(
-    pair: DualPair, ps: ParameterSet
-) -> list[tuple[str, BarClass]]:
-    """``arthur_packet``'s members, each with its ``cuwf``."""
-    members, found = _arthur_packet(pair, ps)
-    return [(pid, _invariant(found, ps, ps.get(pid))[0]) for pid in members]
+    return bound, rows, members
 
 
 def arthur_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     """Parameters whose wavefront invariant is below the dual of the
     infinitesimal-character orbit; provably the same set as the
     parameters with tempered partners, and checked against it."""
-    return _arthur_packet(pair, ps)[0]
+    _, _, members = _arthur_packet(pair, ps)
+    return [pid for pid, _ in members]
 
 
 def weak_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
@@ -111,15 +105,15 @@ def weak_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     provably the parameters whose partner orbit lies in the special piece
     of the infinitesimal-character orbit, and checked against it."""
     bound = pair.gd.d(ps.ic_orbit)
-    # one answer at a time: a bound outside g fails at the first leq,
-    # before a later parameter's own lookups
-    by_wavefront = {
-        x.id
-        for x, (_, (wf, _)) in zip(ps, wavefronts(pair, _partner_orbits(ps)))
-        if pair.g.leq(wf[0], bound)
-    }
+    partner_orbits, by_wavefront = {}, set()
+    # one row at a time: a bound outside g fails at the first leq, before
+    # a later parameter's own lookups
+    for pid, orbit, ((wf, _), _) in _rows(pair, ps):
+        partner_orbits[pid] = orbit
+        if pair.g.leq(wf, bound):
+            by_wavefront.add(pid)
     piece = set(pair.gd.special_piece(ps.ic_orbit))
-    by_piece = {x.id for x in ps if az_dual(ps, x).n_orbit in piece}
+    by_piece = {pid for pid, orbit in partner_orbits.items() if orbit in piece}
     if by_wavefront != by_piece:
         raise InconsistentDataError(
             f"weak packet characterizations disagree at {ps.ic_orbit}: "
@@ -162,17 +156,13 @@ def check_jiang(pair: DualPair, ps: ParameterSet) -> JiangReport:
     """Every packet member's coarse wavefront orbit equals d(ic_orbit),
     and the refined lower bound holds across the whole parameter set."""
     d_ic = pair.gd.d(ps.ic_orbit)
-    packet, found = _arthur_packet(pair, ps)
-    members = []
-    for pid in packet:
-        orbit = _invariant(found, ps, ps.get(pid))[0][0]
-        members.append((pid, orbit, orbit == d_ic))
-    bound = found[ps.ic_orbit][1]
-    lower = [
-        (x.id, pair_leq(pair, bound, _invariant(found, ps, x)[1]))
-        for x in sorted(ps, key=lambda x: natural_key(x.id))
-    ]
-    return JiangReport(ps.ic_orbit, d_ic, tuple(members), tuple(lower))
+    bound, rows, members = _arthur_packet(pair, ps)
+    equal = tuple((pid, wf[0], wf[0] == d_ic) for pid, wf in members)
+    lower = tuple(
+        (pid, pair_leq(pair, bound, p))
+        for pid, _, (_, p) in sorted(rows, key=lambda row: natural_key(row[0]))
+    )
+    return JiangReport(ps.ic_orbit, d_ic, equal, lower)
 
 
 def check_infl_sum(

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import settings
 
-from orbitduality import data, duality
+from orbitduality import data, duality, packets
 from orbitduality.poset import NilpotentPoset
 
 # reproducible property tests that keep no example database on disk
@@ -61,6 +61,21 @@ def sommers_calls(monkeypatch):
 
     # every table read, ``d``'s included, goes through the base method
     monkeypatch.setattr(NilpotentPoset, "sommers", counted)
+    return calls
+
+
+@pytest.fixture()
+def az_duals(monkeypatch):
+    """The parameters ``packets.az_dual`` is asked to pair, by id."""
+    calls = []
+    real = packets.az_dual
+
+    def counted(ps, x):
+        calls.append(x.id)
+        return real(ps, x)
+
+    # the packet queries read the name from their module on each call
+    monkeypatch.setattr(packets, "az_dual", counted)
     return calls
 
 

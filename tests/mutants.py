@@ -78,4 +78,62 @@ MUTANTS = (
         "duality_failures on an unpaired poset raises AttributeError instead "
         "of is_special's MissingTableError",
     ),
+    # the packet queries' rows, one per parameter
+    Mutant(
+        "src/orbitduality/packets.py",
+        "partners = (az_dual(ps, x).n_orbit for x in ps)",
+        "partners = (x.n_orbit for x in ps)",
+        "_rows reads the wavefront at each parameter's own orbit instead of "
+        "its partner's",
+    ),
+    Mutant(
+        "src/orbitduality/packets.py",
+        "if orbit in piece}",
+        "if orbit not in piece}",
+        "weak_packet's special-piece side keeps the parameters whose partner "
+        "orbit lies outside the piece",
+    ),
+    Mutant(
+        "src/orbitduality/packets.py",
+        "sorted(rows, key=lambda row: natural_key(row[0]))",
+        "sorted(rows, key=lambda row: row[0])",
+        "check_jiang lists the lower bounds by raw id, X10 before X2",
+    ),
+    # cli.parse_argv, the small parser ahead of argparse
+    Mutant(
+        "src/orbitduality/cli.py",
+        'rest[0] == "--format" and rest[1] not in _FORMATS):',
+        'rest[0] == "--format" and "--format" not in rest[2:]'
+        " and rest[1] not in _FORMATS):",
+        "only the last --format value is checked, so an earlier bad one "
+        "passes where argparse exits; one line for one, so the "
+        "compiled-lines pin does not catch it first",
+    ),
+    Mutant(
+        "src/orbitduality/cli.py",
+        'if args["bundle"] is None or not rest',
+        "if not rest",
+        "argv without --bundle is answered with bundle None where argparse "
+        "exits",
+    ),
+    Mutant(
+        "src/orbitduality/cli.py",
+        'if len(rest) < 2 or rest[1][:1] == "-" or (',
+        "if len(rest) < 2 or (",
+        "an option value starting with - is taken as the value where "
+        "argparse reads it as an option",
+    ),
+    Mutant(
+        "src/orbitduality/cli.py",
+        'if len(values) != len(names) or any(v[:1] == "-" for v in values):',
+        "if len(values) != len(names):",
+        "a positional starting with - is taken as a value where argparse "
+        "reads it as an option",
+    ),
+    Mutant(
+        "src/orbitduality/cli.py",
+        "if len(values) != len(names) or",
+        "if len(values) < len(names) or",
+        "extra positionals are dropped where argparse exits on them",
+    ),
 )

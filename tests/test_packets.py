@@ -515,3 +515,18 @@ def test_seeded_d_s_corruptions_match_references(f4_doc):
         "embedding collision",
         "embedding injective, D^3 = D, pr1∘D = d_S",
     }
+
+
+@pytest.mark.parametrize(
+    "query", [arthur_packet, weak_packet, check_jiang], ids=lambda q: q.__name__)
+def test_each_packet_query_pairs_each_parameter_once(
+    fresh_f4_pair, f4_params, az_duals, query
+):
+    # one row per parameter: each partner is looked up once, in set order,
+    # on a fresh pair and on a warm one
+    rounds = []
+    for _ in range(2):
+        query(fresh_f4_pair, f4_params)
+        rounds.append(list(az_duals))
+        az_duals.clear()
+    assert rounds == [f4_params.ids()] * 2
