@@ -94,12 +94,13 @@ def _packet(bundle, pair, report, ic):
 
 
 def _weak_packet(bundle, pair, report, ic):
-    from .packets import az_dual, weak_packet
+    from . import packets
 
     ps = data.parameter_set(bundle, ic)
-    partners = [(pid, az_dual(ps, ps.get(pid))) for pid in weak_packet(pair, ps)]
-    lines = [f"{pid}  az={x.id}  az_orbit={x.n_orbit}" for pid, x in partners]
-    members = [{"id": pid, "az": x.id, "az_orbit": x.n_orbit} for pid, x in partners]
+    rows = [(pid, ps.get(pid).az_partner, orbit)
+            for pid, orbit in packets._weak_packet(pair, ps)]
+    lines = [f"{pid}  az={az}  az_orbit={orbit}" for pid, az, orbit in rows]
+    members = [{"id": pid, "az": az, "az_orbit": orbit} for pid, az, orbit in rows]
     return EXIT_OK, lines, {"ic_orbit": ic, "members": members}
 
 
@@ -225,6 +226,12 @@ def parse_argv(argv):
     return SimpleNamespace(**args, command=command, **dict(zip(names, values)))
 
 
+def _read_bundle(path):
+    # parse_bundle would read a path starting with { or [ as JSON text
+    with open(path, encoding="utf-8") as fh:
+        return data.parse_bundle(fh)
+
+
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parse_argv(argv) or build_parser().parse_args(argv)
@@ -232,8 +239,8 @@ def run(argv=None) -> int:
 
     try:
         dual = args.dual_bundle
-        dual_bundle = None if dual is None else data.parse_bundle(dual)
-        bundle = data.parse_bundle(args.bundle)
+        dual_bundle = None if dual is None else _read_bundle(dual)
+        bundle = _read_bundle(args.bundle)
         pair, report = data.validated_pair(bundle, dual_bundle)
         if not report.passed and handler is not _verify:
             raise BundleValidationError(report)

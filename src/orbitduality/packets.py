@@ -32,7 +32,6 @@ from .rootdata import (
     Coweight,
     coweight_orbit,
     dominant_rep,
-    half_sum,
     invariant_form,
     weyl_conjugate,
 )
@@ -100,27 +99,32 @@ def arthur_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
     return [pid for pid, _ in members]
 
 
-def weak_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
-    """Parameters whose coarse wavefront orbit is below d(ic_orbit);
-    provably the parameters whose partner orbit lies in the special piece
-    of the infinitesimal-character orbit, and checked against it."""
+def _weak_packet(pair: DualPair, ps: ParameterSet):
+    """``weak_packet``'s members as ``(id, partner orbit)``, in id order."""
     bound = pair.gd.d(ps.ic_orbit)
-    partner_orbits, by_wavefront = {}, set()
+    partner_orbits, members = {}, {}
     # one row at a time: a bound outside g fails at the first leq, before
     # a later parameter's own lookups
     for pid, orbit, ((wf, _), _) in _rows(pair, ps):
         partner_orbits[pid] = orbit
         if pair.g.leq(wf, bound):
-            by_wavefront.add(pid)
+            members[pid] = orbit
     piece = set(pair.gd.special_piece(ps.ic_orbit))
     by_piece = {pid for pid, orbit in partner_orbits.items() if orbit in piece}
-    if by_wavefront != by_piece:
+    if members.keys() != by_piece:
         raise InconsistentDataError(
             f"weak packet characterizations disagree at {ps.ic_orbit}: "
-            f"wavefront {sorted(by_wavefront)} vs "
+            f"wavefront {sorted(members)} vs "
             f"special-piece {sorted(by_piece)}"
         )
-    return sorted(by_wavefront, key=natural_key)
+    return sorted(members.items(), key=lambda m: natural_key(m[0]))
+
+
+def weak_packet(pair: DualPair, ps: ParameterSet) -> list[str]:
+    """Parameters whose coarse wavefront orbit is below d(ic_orbit);
+    provably the parameters whose partner orbit lies in the special piece
+    of the infinitesimal-character orbit, and checked against it."""
+    return [pid for pid, _ in _weak_packet(pair, ps)]
 
 
 class JiangReport(Record):
@@ -168,8 +172,9 @@ def check_jiang(pair: DualPair, ps: ParameterSet) -> JiangReport:
 def check_infl_sum(
     poset: NilpotentPoset, h_art: Coweight, h_lan: Coweight, target: str
 ) -> bool:
-    """Whether (h_art + h_lan)/2 is Weyl-conjugate to half the weighted
-    Dynkin coweight of the target orbit."""
+    """Whether (h_art + h_lan)/2 is Weyl-conjugate to half the target's
+    weighted Dynkin coweight, asked doubled: reflections are linear and
+    halving keeps signs, so ``dominant_rep`` commutes with halving."""
     rs = poset.root_system()
     if rs is None:
         raise UnknownLabelError(
@@ -180,9 +185,7 @@ def check_infl_sum(
         raise UnknownLabelError(
             f"orbit {target} of {poset.group_id} has no weighted Dynkin data"
         )
-    lhs = half_sum(h_art, h_lan)
-    rhs = half_sum(h_target, Coweight.of([0] * rs.rank))
-    return weyl_conjugate(lhs, rhs, rs)
+    return weyl_conjugate(h_art + h_lan, h_target, rs)
 
 
 def infl_sum_witness(

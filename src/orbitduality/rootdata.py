@@ -2,8 +2,8 @@
 
 Coweights are written in fundamental-coweight coordinates: the i-th
 coordinate of a coweight w is the pairing of w with the i-th simple root.
-Coordinates are stored doubled (2w) so that half-integral coweights stay
-in exact integer arithmetic throughout.
+Coordinates are stored doubled (2w) because a ``Coweight`` may be
+half-integral; nothing here halves one, so the arithmetic stays exact.
 """
 
 from __future__ import annotations
@@ -106,18 +106,6 @@ class Coweight(Record, order=True):
     def __str__(self) -> str:
         parts = [str(c // 2) if c % 2 == 0 else f"{c}/2" for c in self.twice]
         return "(" + ", ".join(parts) + ")"
-
-
-def half_sum(a: Coweight, b: Coweight) -> Coweight:
-    """The coweight (a + b)/2; a and b must sum to something 2-divisible."""
-    if len(a.twice) != len(b.twice):
-        raise ValueError("coweight dimension mismatch")
-    out = []
-    for x, y in zip(a.twice, b.twice):
-        if (x + y) % 2:
-            raise ValueError("half sum is not half-integral")
-        out.append((x + y) // 2)
-    return Coweight(tuple(out))
 
 
 def _check_dim(w: Coweight, rs: RootSystem) -> None:

@@ -136,4 +136,53 @@ MUTANTS = (
         "if len(values) < len(names) or",
         "extra positionals are dropped where argparse exits on them",
     ),
+    # the refined-duality laws and DualPair.check's fast path
+    Mutant(
+        "src/orbitduality/duality.py",
+        "walk = ((bc, (bc[0], pair.g.sommers(*bc))) for bc in all_bar_classes(pair.g))",
+        "walk = ()",
+        "refined_duality_failures drops its Sommers fallback walk, so a "
+        "collision ahead of a missing entry reports the missing entry",
+    ),
+    Mutant(
+        "src/orbitduality/duality.py",
+        "except (KeyError, TypeError):",
+        "except KeyError:",
+        "DualPair.check lets an unhashable pair such as ('A1', ['1']) escape "
+        "its fast path as TypeError instead of UnknownLabelError",
+    ),
+    Mutant(
+        "src/orbitduality/duality.py",
+        "vars(flipped).update(g=self.gd, gd=self.g, _table=self._table)",
+        "vars(flipped).update(g=self.gd, gd=self.g, _table=self._table, _flip=self)",
+        "a flip keeps its pair, so every constructed pair sits in a "
+        "reference cycle",
+    ),
+    Mutant(
+        "src/orbitduality/duality.py",
+        "if bc in self._table._sides[self.g][0]:",
+        "if len(bc) == 2 or bc in self._table._sides[self.g][0]:",
+        "DualPair.check's fast path passes any plain 2-tuple, one outside "
+        "the tabulation such as ('E8', '1') included",
+    ),
+    # the doubled infinitesimal-character sum, bundle paths, weak-packet rows
+    Mutant(
+        "src/orbitduality/packets.py",
+        "weyl_conjugate(h_art + h_lan, h_target, rs)",
+        "weyl_conjugate(h_art + h_art, h_target, rs)",
+        "check_infl_sum sums the Arthur coweight with itself",
+    ),
+    Mutant(
+        "src/orbitduality/cli.py",
+        "return data.parse_bundle(fh)",
+        "return data.parse_bundle(path)",
+        "the CLI hands parse_bundle the path, which reads one starting with "
+        "[ or { as JSON text",
+    ),
+    Mutant(
+        "src/orbitduality/cli.py",
+        "az={az}",
+        "az={pid}",
+        "weak-packet's text prints each member's own id as its partner",
+    ),
 )

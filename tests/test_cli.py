@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -99,7 +100,7 @@ def test_dual_compiles_a_pinned_number_of_source_lines(bundle_path):
         "print(sum(len(open(m.__file__, encoding='utf-8').readlines())\n"
         "          for n, m in sys.modules.items() if n.split('.')[0] == 'orbitduality'))"
     )
-    assert int(lines) == 1873
+    assert int(lines) == 1868
 
 
 def test_dual_loads_no_argparse_and_no_classical_code(bundle_path):
@@ -236,6 +237,13 @@ def test_weak_packet(capsys, bundle_path):
     assert "az_orbit=B2" in out
 
 
+def test_weak_packet_pairs_each_parameter_once(capsys, bundle_path, az_duals):
+    # the handler reads each member's partner from the query's rows
+    code, _, _ = run_cli(capsys, "--bundle", bundle_path, "weak-packet", "F4(a3)")
+    assert code == 0
+    assert len(az_duals) == len(set(az_duals)) == 20
+
+
 def test_unicode_label_arguments(capsys, bundle_path):
     code, out, _ = run_cli(
         capsys, "--bundle", bundle_path, "dual", "Ã1"
@@ -319,6 +327,19 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "--bundle", "/no/such/file.json", "dual", "0")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("folder", ["[old]", "{old}"])
+@pytest.mark.parametrize("flag", ["--bundle", "--dual-bundle"])
+def test_bundle_path_starting_with_a_bracket_is_a_file(
+    capsys, bundle_path, tmp_path, monkeypatch, folder, flag
+):
+    # parse_bundle reads a str that starts with [ or { as JSON text
+    (tmp_path / folder).mkdir()
+    shutil.copy(bundle_path, tmp_path / folder / "f4.json")
+    monkeypatch.chdir(tmp_path)
+    argv = ["--bundle", bundle_path, flag, f"{folder}/f4.json", "dual", "0"]
+    assert run_cli(capsys, *argv) == (0, "F4\n", "")
 
 
 # the first argv is read without argparse, the second only by argparse
@@ -708,7 +729,7 @@ def test_other_package_error_in_a_query_exits_2(capsys, bundle_path, monkeypatch
     def broken(pair, ps):
         raise InconsistentDataError("weak packet tables disagree")
 
-    monkeypatch.setattr(packets, "weak_packet", broken)
+    monkeypatch.setattr(packets, "_weak_packet", broken)
     code, out, err = run_cli(
         capsys, "--bundle", bundle_path, "--format", fmt, "weak-packet", "F4(a3)"
     )

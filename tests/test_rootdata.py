@@ -7,7 +7,6 @@ from orbitduality.rootdata import (
     Coweight,
     coweight_orbit,
     dominant_rep,
-    half_sum,
     invariant_form,
     positive_roots,
     root_pairing,
@@ -78,6 +77,9 @@ def test_dominant_rep_idempotent_on_dominant():
     w = Coweight.of([1, 0, 2, 0])
     assert dominant_rep(w, F4) == w
     assert dominant_rep(dominant_rep(w, F4), F4) == dominant_rep(w, F4)
+    half = Coweight((1, 1, 1, 1))
+    assert dominant_rep(half, F4) == half
+    assert str(half) == "(1/2, 1/2, 1/2, 1/2)"
 
 
 def test_rank_one_sign_flip():
@@ -92,8 +94,6 @@ def test_dimension_mismatch_rejected():
         weyl_conjugate(Coweight.of([1]), Coweight.of([1, 0, 0, 0]), F4)
     with pytest.raises(ValueError):
         Coweight.of([1]) + Coweight.of([1, 2])
-    with pytest.raises(ValueError):
-        half_sum(Coweight.of([1]), Coweight.of([1, 2]))
 
 
 def test_weyl_conjugate_basics():
@@ -157,15 +157,17 @@ def test_invariant_form_is_constant_on_weyl_orbits(label, rank, coords):
     assert {gram(v) for v in coweight_orbit(w, rs)} == {q(w)}
 
 
-def test_half_sum_exact():
-    a = Coweight.of([1, 0, 1, 0])
-    b = Coweight.of([0, 1, 0, 1])
-    assert half_sum(a, b).twice == (1, 1, 1, 1)
-    assert str(half_sum(a, b)) == "(1/2, 1/2, 1/2, 1/2)"
+@pytest.mark.parametrize("label,rank", [("B", 3), ("C", 3), ("F4", 4), ("G2", 2)])
+@settings(max_examples=30)
+@given(coords=st.data(), k=st.sampled_from([2, 3]))
+def test_dominant_rep_commutes_with_scaling(label, rank, coords, k):
+    # check_infl_sum asks its question in doubled form on this ground;
+    # odd doubled coordinates are the half-integral coweights
+    rs = root_system(label, rank)
+    twice = coords.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank))
 
+    def scaled(w):
+        return Coweight(tuple(k * t for t in w.twice))
 
-def test_half_sum_rejects_quarter_integers():
-    a = Coweight((1, 0))  # already half-integral
-    b = Coweight((0, 0))
-    with pytest.raises(ValueError):
-        half_sum(a, b)
+    w = Coweight(tuple(twice))
+    assert dominant_rep(scaled(w), rs) == scaled(dominant_rep(w, rs))
